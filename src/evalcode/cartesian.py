@@ -219,10 +219,6 @@ def evaluate(family: JAffineFamily, delta: DefiningSet) -> LinearCode:
     return C
 
 
-def bar_reduce(family: JAffineFamily, e: Sequence[int]) -> tuple[int, ...]:
-    return family.bar_reduce(e)
-
-
 def minkowski_schur(family: JAffineFamily, d1: DefiningSet, d2: DefiningSet) -> DefiningSet:
     """Reduced Minkowski sum; the exponent set of the Schur product code."""
     if d1.family != family or d2.family != family:
@@ -323,6 +319,16 @@ def footprint_witness(family: JAffineFamily, delta: DefiningSet) -> tuple[np.nda
     z = family.zsizes()
     assert weight == math.prod(zj - ej for zj, ej in zip(z, estar))
     return word, weight
+
+
+def footprint_distance(family: JAffineFamily, delta: DefiningSet) -> int:
+    """Exact minimum distance of C_Δ for decreasing Δ: the footprint bound,
+    checked against the weight of the witness that attains it."""
+    fb = footprint_bound(family, delta)
+    _, wt = footprint_witness(family, delta)
+    if wt != fb:
+        raise RuntimeError(f"footprint witness has weight {wt}, bound is {fb}")
+    return fb
 
 
 def is_decreasing(delta: DefiningSet) -> bool:

@@ -32,7 +32,7 @@ from evalcode.cartesian import (
     evaluate,
     field_from_order,
     footprint_bound,
-    footprint_witness,
+    footprint_distance,
     full_affine_family,
     minkowski_schur,
     wrm_nesting,
@@ -44,6 +44,7 @@ from evalcode.linear_code import (
     LinearCode,
     SearchBudget,
     _isd_witness,
+    _message_chunk,
     contains,
     dual,
     exhaustive_min_weight,
@@ -96,9 +97,7 @@ def _relative_weight_bound(A: LinearCode, B: LinearCode, budget: SearchBudget) -
         chunk = max(1, min(total, (1 << 24) // max(1, A.n)))
         for lo in range(start, total, chunk):
             hi = min(lo + chunk, total)
-            idx = np.arange(lo, hi, dtype=np.int64)
-            weights = spec.p ** np.arange(A.k, dtype=np.int64)
-            msgs = (idx[:, None] // weights[None, :]) % spec.p
+            msgs = _message_chunk(lo, hi, A.k, spec.p)
             words = (msgs.astype(np.float32) @ G) % spec.p
             best = min(best, int(np.count_nonzero(words, axis=1).min()))
         return best, "relative-exhaustive"
@@ -437,13 +436,6 @@ JCSST_COMPARISON = [
 ]
 
 
-def _footprint_exact(family: JAffineFamily, delta: DefiningSet) -> int:
-    fb = footprint_bound(family, delta)
-    _, wt = footprint_witness(family, delta)
-    assert wt == fb
-    return fb
-
-
 def _table_vii() -> list[TableRow]:
     rows = []
     for m, r, s, printed, corrections in _VII_ROWS:
@@ -462,15 +454,15 @@ def _table_vii() -> list[TableRow]:
         assert params.n == n and params.k == C1.k - C2.k
         vals = {
             "k_C2": C2.k,
-            "d_C2": _footprint_exact(fam, d2),
+            "d_C2": footprint_distance(fam, d2),
             "k_C1": C1.k,
-            "d_C1": _footprint_exact(fam, d1),
+            "d_C1": footprint_distance(fam, d1),
             "k_sq": sq.k,
-            "d_sq": _footprint_exact(fam, msq),
+            "d_sq": footprint_distance(fam, msq),
             "k_sqperp": n - sq.k,
-            "d_sqperp": _footprint_exact(fam, delta_dual(fam, msq)),
+            "d_sqperp": footprint_distance(fam, delta_dual(fam, msq)),
             "k_C2perp": n - C2.k,
-            "d_C2perp": _footprint_exact(fam, delta_dual(fam, d2)),
+            "d_C2perp": footprint_distance(fam, delta_dual(fam, d2)),
             "k_css": C1.k - C2.k,
         }
         assert params.d_lower == 2 ** (r + 1) == vals["d_C2perp"]

@@ -6,6 +6,8 @@ codes are equal iff their stored matrices are equal.  Distance work never claims
 exactness without a certified lower bound *and* an explicit codeword witness:
 the engines here either enumerate exhaustively (within budget), exclude all
 supports of a given size, or search for witnesses (deterministic seeded search).
+The support search is one syndrome split search that works over every field;
+when its budget runs out it returns the levels it has excluded, never raising.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import itertools
 import math
 import os
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -331,36 +333,17 @@ def _exhaustive_min_weight_ext(C: LinearCode, cap: int) -> DistanceResult:
     return DistanceResult(int(wts[i]), int(wts[i]), witness=words[i])
 
 
-def _normalize_columns(cols: np.ndarray, spec: FieldSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Scale each row (a column of H) so its first nonzero entry is 1.
-
-    Returns (normalized, leading) where leading[i] is the original first
-    nonzero value (0 for zero columns).
-    """
-    m = cols.shape[1]
-    lead = np.zeros(cols.shape[0], dtype=np.int64)
-    nz = cols != 0
-    has = nz.any(axis=1)
-    first = np.where(has, np.argmax(nz, axis=1), 0)
-    lead[has] = cols[np.arange(cols.shape[0]), first][has]
-    out = cols.copy()
-    if np.any(has):
-        inv = spec.inv_arr(lead[has])
-        out[has] = spec.mul_arr(inv[:, None], cols[has])
-    return out, lead
-
-
 def _verify_word(C: LinearCode, word: np.ndarray, w: int) -> np.ndarray:
-    assert np.count_nonzero(word) == w, "witness bookkeeping error"
-    assert word in C, "witness not in code"
+    """Return word after checking it is a weight-w codeword of C.
+
+    Raises RuntimeError: an assert would vanish under ``python -O``, and
+    min_distance and the command line catch ValueError.
+    """
+    if np.count_nonzero(word) != w:
+        raise RuntimeError(f"witness has weight {np.count_nonzero(word)}, expected {w}")
+    if word not in C:
+        raise RuntimeError("witness not in code")
     return word
-
-
-def _word_from_cols(C: LinearCode, idxs: Sequence[int], coeffs: Sequence[int], w: int) -> np.ndarray:
-    word = np.zeros(C.n, dtype=np.int64)
-    for i, c in zip(idxs, coeffs):
-        word[i] = C.spec.add(int(word[i]), int(c))
-    return _verify_word(C, word, w)
 
 
 def low_weight_search(
@@ -368,171 +351,12 @@ def low_weight_search(
 ) -> tuple[int, np.ndarray | None]:
     """Exhaustive support search for codewords of weight <= w_max.
 
-    Returns (excluded, word): every weight <= excluded is certified absent;
-    word is a verified codeword of weight excluded+1 if one was found at the
-    first non-excludable level.  Levels above the per-field exhaustive cap
-    (5 in general, 6 for binary) are not attempted.
+    The syndrome split search stopped at the per-field level cap (5 in
+    general, 6 for binary codes); levels above it are not attempted.  Returns
+    (excluded, word): every weight <= excluded is certified absent; word is a
+    verified codeword of weight excluded+1 if one was found.
     """
-    spec = C.spec
-    budget = budget or SearchBudget()
-    w_cap = min(w_max, _SUPPORT_LEVEL_CAP[spec.q == 2])
-    H = dual(C).gen  # parity check; columns indexed by code coordinates
-    cols = H.T.copy()  # n x m
-    m = cols.shape[1]
-    if m == 0:
-        # C is the full space; weight-1 words exist
-        word = np.zeros(C.n, dtype=np.int64)
-        word[0] = 1
-        return 0, _verify_word(C, word, 1)
-    norm, lead = _normalize_columns(cols, spec)
-    keys = [row.tobytes() for row in norm]
-    # weight 1: zero columns
-    for i in range(C.n):
-        if lead[i] == 0:
-            if w_max >= 1:
-                return 0, _word_from_cols(C, [i], [1], 1)
-    if w_cap < 2:
-        return 1, None
-    # weight 2: duplicate normalized columns
-    seen: dict[bytes, int] = {}
-    for i, key in enumerate(keys):
-        if key in seen:
-            j = seen[key]
-            # lead[j]*norm + x*lead[i]*norm = 0 -> x = -lead[j]/lead[i] applied to i
-            cj, ci = 1, spec.neg(spec.div(int(lead[j]), int(lead[i])))
-            return 1, _word_from_cols(C, [j, i], [spec.div(cj, int(lead[j])), spec.div(ci, int(lead[i]))], 2)
-        seen[key] = i
-    if w_cap < 3:
-        return 2, None
-    found = _search_weight_3(C, norm, lead, seen)
-    if found is not None:
-        return 2, found
-    if w_cap < 4:
-        return 3, None
-    pair_map = _pair_map(C, norm, spec, budget)
-    found = _search_weight_4(C, norm, lead, pair_map)
-    if found is not None:
-        return 3, found
-    if w_cap < 5:
-        return 4, None
-    found = _search_weight_5(C, norm, lead, pair_map, budget)
-    if found is not None:
-        return 4, found
-    if w_cap < 6 or spec.q != 2:
-        return 5, None
-    found = _search_weight_6_binary(C, norm, budget)
-    if found is not None:
-        return 5, found
-    return 6, None
-
-
-def _units(spec: FieldSpec) -> list[int]:
-    return list(range(1, spec.q))
-
-
-def _search_weight_3(C, norm, lead, seen):
-    spec = C.spec
-    n = norm.shape[0]
-    for i in range(n):
-        for j in range(i + 1, n):
-            for lam in _units(spec):
-                v = spec.add_arr(norm[i], spec.scale_arr(lam, norm[j]))
-                vn, vl = _normalize_columns(v[None, :], spec)
-                if vl[0] == 0:
-                    continue
-                k = seen.get(vn[0].tobytes())
-                if k is not None and k not in (i, j):
-                    # norm_i + lam*norm_j - vl*norm_k = 0
-                    coeffs = [1, lam, spec.neg(int(vl[0]))]
-                    coeffs = [spec.div(c, int(lead[t])) for c, t in zip(coeffs, (i, j, k))]
-                    return _word_from_cols(C, [i, j, k], coeffs, 3)
-    return None
-
-
-def _pair_map(C, norm, spec, budget):
-    """normalized(norm_i + lam*norm_j) -> (i, j, lam, scale) for all pairs."""
-    n = norm.shape[0]
-    out: dict[bytes, list[tuple[int, int, int, int]]] = {}
-    steps = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            for lam in _units(spec):
-                steps += 1
-                if steps > budget.steps:
-                    raise RuntimeError("support-search budget exhausted")
-                v = spec.add_arr(norm[i], spec.scale_arr(lam, norm[j]))
-                vn, vl = _normalize_columns(v[None, :], spec)
-                if vl[0] == 0:
-                    continue  # would be a weight-2 dependency; handled earlier
-                out.setdefault(vn[0].tobytes(), []).append((i, j, lam, int(vl[0])))
-    return out
-
-
-def _search_weight_4(C, norm, lead, pair_map):
-    spec = C.spec
-    for entries in pair_map.values():
-        for a in range(len(entries)):
-            i, j, lam, s1 = entries[a]
-            for b in range(a + 1, len(entries)):
-                k, l, mu, s2 = entries[b]
-                if len({i, j, k, l}) < 4:
-                    continue
-                # s1^-1 (n_i + lam n_j) = s2^-1 (n_k + mu n_l)
-                c = [spec.inv(s1), spec.mul(spec.inv(s1), lam),
-                     spec.neg(spec.inv(s2)), spec.neg(spec.mul(spec.inv(s2), mu))]
-                c = [spec.div(cc, int(lead[t])) for cc, t in zip(c, (i, j, k, l))]
-                return _word_from_cols(C, [i, j, k, l], c, 4)
-    return None
-
-
-def _search_weight_5(C, norm, lead, pair_map, budget):
-    spec = C.spec
-    n = norm.shape[0]
-    units = _units(spec)
-    steps = 0
-    for i, j, k in itertools.combinations(range(n), 3):
-        base = norm[[i, j, k]]
-        for lam in units:
-            for mu in units:
-                steps += 1
-                if steps > budget.steps:
-                    raise RuntimeError("support-search budget exhausted")
-                v = spec.add_arr(
-                    base[0], spec.add_arr(spec.scale_arr(lam, base[1]), spec.scale_arr(mu, base[2]))
-                )
-                vn, vl = _normalize_columns(v[None, :], spec)
-                if vl[0] == 0:
-                    continue  # weight-3 dependency; handled earlier
-                for (a, b, rho, s2) in pair_map.get(vn[0].tobytes(), ()):
-                    if len({i, j, k, a, b}) < 5:
-                        continue
-                    s1 = int(vl[0])
-                    c = [spec.inv(s1), spec.div(lam, s1), spec.div(mu, s1),
-                         spec.neg(spec.inv(s2)), spec.neg(spec.div(rho, s2))]
-                    c = [spec.div(cc, int(lead[t])) for cc, t in zip(c, (i, j, k, a, b))]
-                    return _word_from_cols(C, [i, j, k, a, b], c, 5)
-    return None
-
-
-def _search_weight_6_binary(C, norm, budget):
-    bits = _gfmat.pack_rows(norm)
-    n = len(bits)
-    triples: dict[int, tuple[int, int, int]] = {}
-    steps = 0
-    for i, j, k in itertools.combinations(range(n), 3):
-        steps += 1
-        if steps > budget.steps:
-            raise RuntimeError("support-search budget exhausted")
-        v = bits[i] ^ bits[j] ^ bits[k]
-        if v == 0:
-            continue
-        prev = triples.get(v)
-        if prev is not None and len(set(prev) | {i, j, k}) == 6:
-            idxs = list(prev) + [i, j, k]
-            return _word_from_cols(C, idxs, [1] * 6, 6)
-        if prev is None:
-            triples[v] = (i, j, k)
-    return None
+    return syndrome_split_search(C, min(w_max, _SUPPORT_LEVEL_CAP[C.spec.q == 2]), budget)
 
 
 def find_weight_witness(
@@ -564,7 +388,7 @@ def _isd_witness(C, w, *, seed, max_iters, budget):
     if k == 0:
         return None
     rng = np.random.default_rng(seed)
-    units = _units(spec)
+    units = range(1, spec.q)
     steps = 0
     for _ in range(max_iters):
         perm = rng.permutation(n)
@@ -660,17 +484,56 @@ def cyclic_min_weight_upto(C: LinearCode, w_cap: int) -> DistanceResult:
     return DistanceResult(w_cap + 1, C.n)
 
 
-def _split_side_tables(cols, supports, grids, pow_vec, p, negate):
-    """Packed syndrome keys for one side of a split-support search."""
-    keys = np.empty(len(supports) * len(grids), dtype=np.int64)
-    chunk = max(1, 3_000_000 // max(1, len(grids)))
-    for lo in range(0, len(supports), chunk):
-        sup = supports[lo : lo + chunk]
-        syn = np.matmul(grids, cols[sup]) % p  # (chunk, g, m)
+def _combination_chunks(n: int, t: int, rows: int):
+    """All t-subsets of range(n), in lexicographic order, as arrays of <= rows rows."""
+    it = itertools.combinations(range(n), t)
+    while chunk := list(itertools.islice(it, rows)):
+        flat = itertools.chain.from_iterable(chunk)
+        yield np.fromiter(flat, dtype=np.int64, count=len(chunk) * t).reshape(len(chunk), t)
+
+
+def _syndrome_sketch(C: LinearCode) -> tuple[np.ndarray, np.ndarray]:
+    """Per-unit syndrome rows and the weights that pack them into int64 keys.
+
+    Row [u-1, i] holds the GF(p) digits of u * s_i, for s_i column i of a
+    parity check matrix, so a syndrome's key is a sum of rows mod p in every
+    field.  When those digits do not fit one key, s_i is first mapped by a
+    fixed random GF(q)-linear projection, which commutes with the scalings and
+    sums of the search; equal keys are then only candidates, to be confirmed
+    by membership in C.
+    """
+    spec = C.spec
+    p, width = spec.p, 1
+    while p ** (width + 1) <= 1 << 63:
+        width += 1
+    S = dual(C).gen
+    if S.shape[0] * spec.r > width:
+        proj = np.random.default_rng(0).integers(0, spec.q, size=(width // spec.r, S.shape[0]))
+        S = _gfmat.matmul(proj, S, spec)
+    units = np.arange(1, spec.q, dtype=np.int64)
+    scaled = spec.mul_arr(units[:, None, None], S.T[None, :, :])  # (q-1, n, rows of S)
+    digits = np.empty(scaled.shape + (spec.r,), dtype=np.min_scalar_type(p - 1))
+    for d in range(spec.r):
+        digits[..., d] = scaled // p**d % p
+    return digits.reshape(spec.q - 1, C.n, -1), p ** np.arange(S.shape[0] * spec.r, dtype=np.int64)
+
+
+def _half_keys(rows, sup, grids, p, pow_vec, negate):
+    """int64 keys of the syndromes of every (support, unit grid) pair, support-major."""
+    dtype = np.min_scalar_type(sup.shape[1] * (p - 1)).type  # holds the unreduced sums
+    rows = rows.astype(dtype, copy=False)
+    step = max(1, (1 << 22) // (len(grids) * (rows.shape[2] + 1)))
+    out = []
+    for lo in range(0, len(sup), step):
+        part = sup[lo : lo + step]
+        acc = np.zeros((len(part), len(grids), rows.shape[2]), dtype=dtype)
+        for j in range(sup.shape[1]):
+            acc += rows[grids[None, :, j], part[:, None, j]]
+        acc %= dtype(p)
         if negate:
-            syn = (-syn) % p
-        keys[lo * len(grids) : (lo + len(sup)) * len(grids)] = (syn @ pow_vec).reshape(-1)
-    return keys
+            acc = (dtype(p) - acc) % dtype(p)
+        out.append((acc @ pow_vec).reshape(-1))
+    return np.concatenate(out)
 
 
 def syndrome_split_search(
@@ -678,80 +541,54 @@ def syndrome_split_search(
 ) -> tuple[int, np.ndarray | None]:
     """Exact search for codewords of weight <= w_max via syndrome collisions.
 
-    Each weight-w support splits uniquely into its ceil(w/2) lowest and
-    floor(w/2) highest positions.  Both halves are enumerated with packed
-    base-p syndrome keys (the low half normalized to leading coefficient 1,
-    the high half negated), and a sorted join finds every cancelling pair, so
-    each completed level is an exhaustive certificate.  Same return convention
-    as low_weight_search: (excluded, word).  Levels whose table sizes exceed
-    the step budget are not attempted.  Prime fields only.
+    Works over every field.  Each weight-w support splits uniquely into its
+    ceil(w/2) lowest and floor(w/2) highest positions.  Both halves are
+    enumerated as arrays of syndrome keys (the low half with leading
+    coefficient 1, the high half negated), and a sorted join finds every
+    cancelling pair; a key match counts only once the word passes membership
+    in C, so each completed level is an exhaustive certificate.  Returns
+    (excluded, word) like low_weight_search.  A level whose two half-tables
+    would hold more than budget.steps entries is not attempted: the search
+    returns (w-1, None) there and never raises for lack of budget.
     """
     spec = C.spec
-    if spec.r != 1:
-        raise FieldError("syndrome split search implemented for prime fields")
     budget = budget or SearchBudget()
-    p, n = spec.p, C.n
-    H = dual(C).gen
-    m = H.shape[0]
-    if m == 0:
-        word = np.zeros(n, dtype=np.int64)
-        word[0] = 1
-        return 0, _verify_word(C, word, 1)
-    if p**m >= 1 << 62:
-        raise ValueError("syndrome keys do not fit a packed 64-bit integer")
-    cols = H.T.astype(np.int64)
-    pow_vec = (p ** np.arange(m)).astype(np.int64)
-    units = np.arange(1, p, dtype=np.int64)
-    for w in range(1, w_max + 1):
+    n, p, units = C.n, spec.p, range(spec.q - 1)  # unit u is stored as u - 1
+    rows = pow_vec = None
+    for w in range(1, min(w_max, n) + 1):
         a, b = (w + 1) // 2, w // 2
-        if b == 0:
-            zero = np.nonzero(~cols.any(axis=1))[0]
-            if zero.size:
-                return 0, _word_from_cols(C, [int(zero[0])], [1], 1)
-            continue
-        a_count = math.comb(n, a) * (p - 1) ** (a - 1)
-        b_count = math.comb(n, b) * (p - 1) ** b
+        a_count = math.comb(n, a) * (spec.q - 1) ** (a - 1)
+        b_count = math.comb(n, b) * (spec.q - 1) ** b
         if a_count + b_count > budget.steps:
             return w - 1, None
-        bsup = np.array(list(itertools.combinations(range(n), b)), dtype=np.int64)
-        bgrids = np.array(list(itertools.product(*[units] * b)), dtype=np.int64)
-        bkeys = _split_side_tables(cols, bsup, bgrids, pow_vec, p, negate=True)
+        if rows is None:
+            rows, pow_vec = _syndrome_sketch(C)
+        bgrids = np.array(list(itertools.product(units, repeat=b)), dtype=np.int64)
+        bsup = next(_combination_chunks(n, b, math.comb(n, b)))
+        bkeys = _half_keys(rows, bsup, bgrids, p, pow_vec, negate=True)
+        # stable, so within a run of equal keys the high halves start in
+        # increasing position and the run's last entry starts latest
         order = np.argsort(bkeys, kind="stable")
-        bkeys_sorted = bkeys[order]
-        agrids = np.array(list(itertools.product([1], *[units] * (a - 1))), dtype=np.int64)
-        chunk = max(1, 3_000_000 // len(agrids))
-        pending: list[tuple[int, ...]] = []
-
-        def scan(sup_chunk):
-            sup = np.array(sup_chunk, dtype=np.int64)
-            keys = ((np.matmul(agrids, cols[sup]) % p) @ pow_vec).reshape(-1)
-            lo = np.searchsorted(bkeys_sorted, keys, side="left")
-            hi = np.searchsorted(bkeys_sorted, keys, side="right")
-            for ci in np.nonzero(hi > lo)[0]:
-                si, gi = divmod(int(ci), len(agrids))
-                a_max = sup[si][-1]
-                for pos in range(int(lo[ci]), int(hi[ci])):
-                    bi, bgi = divmod(int(order[pos]), len(bgrids))
-                    if bsup[bi][0] <= a_max:
-                        continue
+        bkeys = bkeys[order]
+        bfirst = np.column_stack([bsup, np.full(len(bsup), n)])[order // len(bgrids), 0]
+        agrids = np.array(list(itertools.product([0], *[units] * (a - 1))), dtype=np.int64)
+        for asup in _combination_chunks(n, a, max(1, (1 << 18) // len(agrids))):
+            akeys = _half_keys(rows, asup, agrids, p, pow_vec, negate=False)
+            aorder = np.argsort(akeys)  # sorted needles keep the searches cache-local
+            lo = np.searchsorted(bkeys, akeys[aorder])
+            hi = np.searchsorted(bkeys, akeys[aorder], side="right")
+            alast = asup[aorder // len(agrids), -1]
+            for i in np.flatnonzero((hi > lo) & (bfirst[hi - 1] > alast)):
+                x = aorder[i]
+                for pos in range(hi[i] - 1, lo[i] - 1, -1):
+                    if bfirst[pos] <= alast[i]:
+                        break
+                    y = order[pos]
                     word = np.zeros(n, dtype=np.int64)
-                    word[sup[si]] = agrids[gi]
-                    word[bsup[bi]] = bgrids[bgi]
-                    if int(np.count_nonzero(word)) == w and not (H @ word % p).any():
-                        return _verify_word(C, word, w)
-            return None
-
-        for support in itertools.combinations(range(n), a):
-            pending.append(support)
-            if len(pending) == chunk:
-                hit = scan(pending)
-                if hit is not None:
-                    return w - 1, hit
-                pending = []
-        if pending:
-            hit = scan(pending)
-            if hit is not None:
-                return w - 1, hit
+                    word[asup[x // len(agrids)]] = agrids[x % len(agrids)] + 1
+                    word[bsup[y // len(bgrids)]] = bgrids[y % len(bgrids)] + 1
+                    if word in C:  # equal keys may be a collision of the sketch
+                        return w - 1, _verify_word(C, word, w)
     return w_max, None
 
 

@@ -40,6 +40,7 @@ from .cartesian import (
     evaluate,
     field_from_order,
     footprint_bound,
+    footprint_distance,
     footprint_witness,
     full_affine_family,
     is_decreasing,
@@ -497,16 +498,6 @@ def one_var_scheme(
 # reproduced tables
 
 
-def _footprint_exact(family: JAffineFamily, delta: DefiningSet) -> int:
-    """Exact minimum distance of an evaluation code whose footprint bound is
-    attained by the structural witness (asserted)."""
-    assert is_decreasing(delta)
-    fb = footprint_bound(family, delta)
-    _, wt = footprint_witness(family, delta)
-    assert wt == fb
-    return fb
-
-
 def _dist_cell(printed, res: DistanceResult, correction=None, note="") -> Cell:
     computed = res.lower if res.exact else f">={res.lower}"
     return Cell(printed=printed, computed=computed, correction=correction, note=note)
@@ -574,7 +565,7 @@ def _affine_row(fam, dC, C, C_cells, style, s, dD, printed, corrections, with_pr
     dCD = minkowski_schur(fam, dC, dD)
     CD = schur(C, D)
     assert CD.k == len(dCD)
-    d_Dd = _footprint_exact(fam, dDp)
+    d_Dd = footprint_distance(fam, dDp)
     scheme = PirScheme(
         n=n,
         storage=C,
@@ -591,18 +582,18 @@ def _affine_row(fam, dC, C, C_cells, style, s, dD, printed, corrections, with_pr
     cells["k_D"] = Cell(printed=kD, computed=D.k)
     cells["d_D"] = Cell(
         printed=printed[4],
-        computed=_footprint_exact(fam, dD),
+        computed=footprint_distance(fam, dD),
         correction=corrections.get("d_D"),
     )
     cells["k_Dperp"] = Cell(printed=kDd, computed=n - D.k)
     cells["d_Dperp"] = Cell(printed=printed[5], computed=d_Dd)
     cells["k_CD"] = Cell(printed=kCD, computed=CD.k, correction=corrections.get("k_CD"))
     if with_product:
-        cells["d_CD"] = Cell(printed=printed[6], computed=_footprint_exact(fam, dCD))
+        cells["d_CD"] = Cell(printed=printed[6], computed=footprint_distance(fam, dCD))
     cells["k_CDperp"] = Cell(printed=kCDd, computed=n - CD.k)
     if with_product:
         cells["d_CDperp"] = Cell(
-            printed=printed[7], computed=_footprint_exact(fam, delta_dual(fam, dCD))
+            printed=printed[7], computed=footprint_distance(fam, delta_dual(fam, dCD))
         )
     base = 8 if with_product else 6
     cells["privacy"] = Cell(printed=printed[base], computed=scheme.privacy_lower)
@@ -616,7 +607,7 @@ def _table_affine(m: int, fixture, product_distances: bool) -> list[TableRow]:
     C = evaluate(fam, dC)
     C_cells = {
         "k_C": Cell(printed=m + 1, computed=C.k),
-        "d_C": Cell(printed=6 * 7 ** (m - 1), computed=_footprint_exact(fam, dC)),
+        "d_C": Cell(printed=6 * 7 ** (m - 1), computed=footprint_distance(fam, dC)),
     }
     rows = []
     for entry in fixture:
@@ -963,7 +954,7 @@ def _table_rm_comparison() -> list[TableRow]:
             dD = delta_rm(2, r + 1, 2)
             C = evaluate(fam, dC)
             D = evaluate(fam, dD)
-            d_exact = _footprint_exact(fam, delta_dual(fam, dD))
+            d_exact = footprint_distance(fam, delta_dual(fam, dD))
             res = DistanceResult(d_exact, d_exact)
             trans = combine_transitivity(
                 transitivity_premises(fam, dC), transitivity_premises(fam, dD)

@@ -1,8 +1,10 @@
 """Command-line interface tests: spec parsing, summaries, tables, certificates."""
 
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -53,6 +55,15 @@ def test_build_weighted_code_summary(tmp_path, capsys):
     assert any(line.startswith("distance: 16 (exact") for line in lines)
     assert "decreasing: yes" in lines
     assert "coset-closed over GF(2): yes" in lines
+
+
+def test_readme_spec_examples_build(tmp_path, capsys):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    specs = re.findall(r"```json\n(.*?)```", readme, re.S)
+    assert len(specs) >= 2
+    for i, spec in enumerate(specs):
+        code, _, err = run(capsys, "build", spec_file(tmp_path, json.loads(spec), f"{i}.json"))
+        assert code == 0, (spec, err)
 
 
 def test_build_repetition_summary(tmp_path, capsys):

@@ -1,12 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evalcode._gfmat import rref
+from evalcode.cartesian import JAffineFamily, field_from_order
+from evalcode.cyclotomic import consecutive_union, subfield_code
 from evalcode.galois import FieldError, make_field
 from evalcode.linear_code import (
     DistanceResult,
     LinearCode,
     SearchBudget,
+    _verify_word,
     contains,
     cyclic_min_weight_upto,
     dual,
@@ -183,6 +188,24 @@ def test_low_weight_search_excludes():
     assert excluded == 2 and word is None
 
 
+def test_low_weight_search_weight_two_witness_over_gf3():
+    # [3,1,2] code spanned by (1,1,0): the weight-2 witness needs the right
+    # coefficient on its second position
+    D = dual(LinearCode(make_field(3, 1), [[1, 2, 0], [0, 0, 1]]))
+    excluded, word = low_weight_search(D, 3)
+    assert excluded == 1 and int(np.count_nonzero(word)) == 2 and word in D
+    with pytest.raises(RuntimeError):
+        _verify_word(D, np.array([1, 2, 0]), 2)  # raises under python -O too
+
+
+def test_min_distance_small_budget_returns_bracket():
+    f = JAffineFamily(field_from_order(64), (64,), (1,))
+    Cd = dual(subfield_code(f, 2, consecutive_union(f, 2, 4)))  # [63,38] binary
+    capped = min_distance(Cd, SearchBudget(steps=50))
+    assert isinstance(capped, DistanceResult)
+    assert capped.lower <= min_distance(Cd).lower
+
+
 def test_find_weight_witness_hamming():
     C = hamming74()
     w4 = find_weight_witness(C, 4)
@@ -269,23 +292,28 @@ def test_distance_result_validation():
     assert not r.exact
 
 
-def test_syndrome_split_agrees_with_exhaustive():
-    rng = np.random.default_rng(42)
-    for p in (2, 3):
-        spec = make_field(p, 1)
-        for _ in range(6):
-            gen = rng.integers(0, p, size=(5, 14))
-            C = LinearCode(spec, gen.astype(np.int64))
-            if C.k == 0:
-                continue
-            exact = exhaustive_min_weight(C)
-            excluded, word = syndrome_split_search(C, min(exact.lower + 1, 8))
+SEARCH_FIELDS = [(2, 1), (3, 1), (2, 2), (7, 1), (2, 3), (3, 2)]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_syndrome_split_agrees_with_exhaustive(data):
+    # one small random code per field, prime and extension
+    for p, r in SEARCH_FIELDS:
+        spec = make_field(p, r)
+        n = data.draw(st.integers(2, 14 if spec.q <= 3 else 7), label="n")
+        k = data.draw(st.integers(1, min(n, 5)), label="k")
+        entries = st.lists(st.integers(0, spec.q - 1), min_size=n * k, max_size=n * k)
+        C = LinearCode(spec, np.array(data.draw(entries), dtype=np.int64).reshape(k, n))
+        if C.k == 0:
+            continue
+        d = exhaustive_min_weight(C).lower
+        for search in (syndrome_split_search, low_weight_search):
+            excluded, word = search(C, d + 1)
             if word is None:
-                assert excluded < exact.lower  # never a false exclusion
+                assert excluded < d  # never a false exclusion
             else:
-                weight = int(np.count_nonzero(word))
-                assert weight == exact.lower
-                assert excluded == weight - 1
+                assert int(np.count_nonzero(word)) == d and excluded == d - 1
                 assert word in C
 
 
@@ -302,11 +330,11 @@ def test_syndrome_split_budget_degrades_honestly():
     assert word is not None and int(np.count_nonzero(word)) == exact.lower
 
 
-def test_syndrome_split_prime_field_only():
-    spec = make_field(2, 2)
-    C = LinearCode(spec, np.array([[1, 2, 3]], dtype=np.int64))
-    with pytest.raises(FieldError):
-        syndrome_split_search(C, 2)
+def test_syndrome_split_extension_field():
+    C = LinearCode(F4, np.array([[1, 2, 3]], dtype=np.int64))  # [3,1,3] over GF(4)
+    assert syndrome_split_search(C, 2) == (2, None)
+    excluded, word = syndrome_split_search(C, 3)
+    assert excluded == 2 and int(np.count_nonzero(word)) == 3 and word in C
 
 
 def test_syndrome_split_full_space_weight_one():
