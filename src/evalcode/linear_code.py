@@ -15,16 +15,18 @@ from __future__ import annotations
 import itertools
 import math
 import os
+import weakref
 from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
 from evalcode import _gfmat
-from evalcode.galois import FieldElement, FieldError, FieldSpec, make_field, primitive_element
+from evalcode.galois import FieldError, FieldSpec, make_field
 
 _ENUMERATION_CAP = 1 << 26
 _SUPPORT_LEVEL_CAP = {True: 6, False: 5}  # exhaustive support search depth, keyed by q == 2
+_ISD_SEED, _ISD_ITERS = 7, 400  # information-set search: permutation seed, iterations
 
 
 def _steps_from_env() -> int:
@@ -69,7 +71,7 @@ class DistanceResult:
 class LinearCode:
     """A linear code over GF(q), canonically represented by its RREF generator."""
 
-    __slots__ = ("spec", "n", "gen", "pivots", "_dual_cache")
+    __slots__ = ("spec", "n", "gen", "pivots", "_dual_cache", "__weakref__")
 
     def __init__(self, spec: FieldSpec, rows, *, _reduced: bool = False):
         self.spec = spec
@@ -126,12 +128,19 @@ class LinearCode:
 
 
 def dual(C: LinearCode) -> LinearCode:
-    """Nullspace code; involution with dim(C) + dim(dual(C)) = n."""
-    if C._dual_cache is None:
+    """Nullspace code; involution with dim(C) + dim(dual(C)) = n.
+
+    C keeps its dual alive, but the dual refers back to C only weakly, so the
+    pair forms no reference cycle; once C is gone its dual is recomputed.
+    """
+    D = C._dual_cache
+    if isinstance(D, weakref.ref):
+        D = D()
+    if D is None:
         D = LinearCode(C.spec, _gfmat.nullspace(C.gen, C.spec), _reduced=True)
-        D._dual_cache = C
+        D._dual_cache = weakref.ref(C)
         C._dual_cache = D
-    return C._dual_cache
+    return D
 
 
 def schur(C: LinearCode, D: LinearCode) -> LinearCode:
@@ -287,32 +296,36 @@ def _xor_combine(lam: np.ndarray, B: np.ndarray) -> np.ndarray:
 # distance machinery
 
 
-def _message_chunk(lo: int, hi: int, k: int, p: int) -> np.ndarray:
-    idx = np.arange(lo, hi, dtype=np.int64)
-    weights = p ** np.arange(k, dtype=np.int64)
-    return (idx[:, None] // weights[None, :]) % p
+def _min_weight_from(G: np.ndarray, p: int, start: int) -> tuple[int, np.ndarray | None]:
+    """Least weight of m @ G over GF(p) for the messages m whose index (base-p
+    digits, lowest first) is at least `start`, and a message attaining it."""
+    k, n = G.shape
+    total = p**k
+    Gf = G.astype(np.float32)
+    digit_weights = p ** np.arange(k, dtype=np.int64)
+    best, best_msg = n + 1, None
+    chunk = max(1, min(total, (1 << 24) // max(1, n)))
+    for lo in range(start, total, chunk):
+        idx = np.arange(lo, min(lo + chunk, total), dtype=np.int64)
+        msgs = (idx[:, None] // digit_weights[None, :]) % p
+        wts = np.count_nonzero((msgs.astype(np.float32) @ Gf) % p, axis=1)
+        i = int(np.argmin(wts))
+        if wts[i] < best:
+            best, best_msg = int(wts[i]), msgs[i].copy()
+    return best, best_msg
 
 
 def exhaustive_min_weight(C: LinearCode, cap: int = _ENUMERATION_CAP) -> DistanceResult:
     """Exact minimum weight by enumerating all q^k codewords (prime fields)."""
+    if C.k == 0:
+        raise ValueError("minimum distance of the zero code is undefined")
     spec = C.spec
     if spec.r != 1:
         return _exhaustive_min_weight_ext(C, cap)
     total = spec.q**C.k
     if total > cap:
         raise ValueError(f"enumeration size {total} exceeds cap {cap}")
-    G = C.gen.astype(np.float32)
-    best, best_msg = C.n + 1, None
-    chunk = max(1, min(total, (1 << 24) // max(1, C.n)))
-    for lo in range(1, total, chunk):
-        hi = min(lo + chunk, total)
-        msgs = _message_chunk(lo, hi, C.k, spec.p)
-        words = (msgs.astype(np.float32) @ G) % spec.p
-        wts = np.count_nonzero(words, axis=1)
-        i = int(np.argmin(wts))
-        if wts[i] < best:
-            best = int(wts[i])
-            best_msg = msgs[i].copy()
+    best, best_msg = _min_weight_from(C.gen, spec.p, 1)
     witness = _gfmat.matmul(best_msg[None, :], C.gen, spec)[0]
     assert np.count_nonzero(witness) == best
     return DistanceResult(best, best, witness=witness)
@@ -360,18 +373,13 @@ def low_weight_search(
 
 
 def find_weight_witness(
-    C: LinearCode,
-    w: int,
-    budget: SearchBudget | None = None,
-    *,
-    seed: int = 7,
-    max_iters: int = 400,
+    C: LinearCode, w: int, budget: SearchBudget | None = None
 ) -> np.ndarray | None:
     """A verified codeword of weight exactly w, or None.
 
     Small weights go through the exhaustive support search; larger ones use a
     seeded information-set search (random column permutations, codewords from
-    at most two reduced generator rows).  Deterministic for a fixed seed.
+    at most two reduced generator rows).  Deterministic.
     """
     budget = budget or SearchBudget()
     if w <= _SUPPORT_LEVEL_CAP[C.spec.q == 2]:
@@ -380,17 +388,17 @@ def find_weight_witness(
             return word
         if word is None and excluded >= w:
             return None
-    return _isd_witness(C, w, seed=seed, max_iters=max_iters, budget=budget)
+    return _isd_witness(C, w, budget)
 
 
-def _isd_witness(C, w, *, seed, max_iters, budget):
+def _isd_witness(C, w, budget):
     spec, k, n = C.spec, C.k, C.n
     if k == 0:
         return None
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_ISD_SEED)
     units = range(1, spec.q)
     steps = 0
-    for _ in range(max_iters):
+    for _ in range(_ISD_ITERS):
         perm = rng.permutation(n)
         R, piv = _gfmat.rref(C.gen[:, perm], spec)
         if len(piv) < k:
@@ -426,6 +434,29 @@ def _isd_witness(C, w, *, seed, max_iters, budget):
                             word[perm] = v
                             return _verify_word(C, word, w)
     return None
+
+
+def certify_distance(
+    C: LinearCode, target: int, budget: SearchBudget | None = None, *, lower: int | None = None
+) -> DistanceResult:
+    """Certified bracket on d(C), aimed at an expected distance `target`.
+
+    `lower` is a lower bound on d(C) that the caller has proved.  Without
+    one, the support search runs once up to weight `target`: a word it finds
+    closes the bracket, and otherwise the bound is one more than the weight
+    it excluded.  The upper end is a verified weight-`target` codeword from
+    the seeded information-set search, or n when none is found.
+    """
+    budget = budget or SearchBudget()
+    if lower is None:
+        excluded, word = low_weight_search(C, target, budget)
+        if word is not None:
+            return DistanceResult(excluded + 1, int(np.count_nonzero(word)), word)
+        lower = excluded + 1
+    wit = None
+    if lower <= target:
+        wit = _isd_witness(C, target, budget)
+    return DistanceResult(lower, target if wit is not None else C.n, wit)
 
 
 def is_cyclic(C: LinearCode) -> bool:

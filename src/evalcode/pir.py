@@ -23,7 +23,6 @@ for reporting).
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -61,12 +60,10 @@ from .linear_code import (
     DistanceResult,
     LinearCode,
     SearchBudget,
-    _isd_witness,
+    certify_distance,
     cyclic_min_weight_upto,
     dual,
     exhaustive_min_weight,
-    find_weight_witness,
-    low_weight_search,
     min_distance,
     puncture,
     schur,
@@ -128,6 +125,12 @@ class PirScheme:
         if not (0 <= self.rate < 1 and 0 < self.storage_rate <= 1):
             raise ValueError("rates out of range")
 
+    @classmethod
+    def of(cls, C, D, CD, privacy_lower: int, transitivity: str = UNVERIFIED) -> "PirScheme":
+        """The scheme storing with C and retrieving with D, whose star product is CD."""
+        n = C.n
+        return cls(n, C, D, privacy_lower, Fraction(n - CD.k, n), Fraction(C.k, n), transitivity)
+
     @property
     def rate_string(self) -> str:
         return f"{int(self.rate * self.n)}/{self.n}"
@@ -156,15 +159,7 @@ def pir_params(
     dres = min_distance(dual(D), budget)
     if dres.lower < 2:
         raise ValueError("retrieval code gives no certified privacy: d(D^perp) bound is 1")
-    return PirScheme(
-        n=C.n,
-        storage=C,
-        retrieval=D,
-        privacy_lower=dres.lower - 1,
-        rate=Fraction(C.n - CD.k, C.n),
-        storage_rate=Fraction(C.k, C.n),
-        transitivity=transitivity,
-    )
+    return PirScheme.of(C, D, CD, dres.lower - 1, transitivity)
 
 
 # ---------------------------------------------------------------------------
@@ -403,8 +398,7 @@ def te_pir_subfield(
     n = family.n_points
     CD = schur(C, D)
     assert CD.k == len(schur_subfield(family, qprime, dC, dD))
-    rate = Fraction(n - CD.k, n)
-    assert rate >= Fraction(n - (6 * r + 5), n)
+    assert CD.k <= 6 * r + 5
 
     Dd = dual(D)
     bound, _ = hyperbolic_dual_certificate(family, qprime, dD, 4)
@@ -418,15 +412,7 @@ def te_pir_subfield(
     else:  # fall back to a generic certificate if the structural bound fails
         privacy = min_distance(Dd, budget).lower - 1
 
-    return PirScheme(
-        n=n,
-        storage=C,
-        retrieval=D,
-        privacy_lower=privacy,
-        rate=rate,
-        storage_rate=Fraction(C.k, n),
-        transitivity=_pair_transitivity(family, qprime, dC, C, dD, D),
-    )
+    return PirScheme.of(C, D, CD, privacy, _pair_transitivity(family, qprime, dC, C, dD, D))
 
 
 def one_var_scheme(
@@ -481,57 +467,77 @@ def one_var_scheme(
         assert CD == C
     bound = dual_bch_bound(family, qprime, dD)
     assert bound >= designed + 1
-    rate = Fraction(n - CD.k, n)
-    assert rate >= Fraction(n - len(dC) * len(dD), n)
-    return PirScheme(
-        n=n,
-        storage=C,
-        retrieval=D,
-        privacy_lower=bound - 1,
-        rate=rate,
-        storage_rate=Fraction(C.k, n),
-        transitivity=_pair_transitivity(family, qprime, dC, C, dD, D),
-    )
+    assert CD.k <= len(dC) * len(dD)
+    return PirScheme.of(C, D, CD, bound - 1, _pair_transitivity(family, qprime, dC, C, dD, D))
 
 
 # ---------------------------------------------------------------------------
 # reproduced tables
 
+# The columns of every PIR table, in this order; each table prints a
+# subsequence of them.  Stored rows list their cells in the order of the
+# table's own column tuple, with rates as numerators over n.
+_COLUMNS = (
+    "k_C", "d_C", "k_D", "d_D", "k_Dperp", "d_Dperp", "k_CD", "d_CD",
+    "k_CDperp", "d_CDperp", "storage_rate", "privacy", "rate",
+)
 
-def _dist_cell(printed, res: DistanceResult, correction=None, note="") -> Cell:
-    computed = res.lower if res.exact else f">={res.lower}"
-    return Cell(printed=printed, computed=computed, correction=correction, note=note)
 
+def _row(label, style, scheme: PirScheme, printed, distances, corrections) -> TableRow:
+    """A table row with one cell per printed column, in `_COLUMNS` order.
 
-def _code_cells(prefix: str, printed_k, k: int, printed_d=None, d=None, corr=None):
-    cells = {f"k_{prefix}": Cell(printed=printed_k, computed=k)}
-    if printed_d is not None or d is not None:
-        cells[f"d_{prefix}"] = (
-            d
-            if isinstance(d, Cell)
-            else Cell(printed=printed_d, computed=d, correction=corr)
-        )
-    return cells
+    Dimensions, rates and privacy are read from the scheme; distance cells
+    from `distances`, an int or a DistanceResult per column (">=lower"
+    unless exact).  Printed rates and their corrections are numerators over n.
+    """
+    n = scheme.n
+    k_CDperp = int(scheme.rate * n)
+    computed = {
+        "k_C": scheme.storage.k,
+        "k_D": scheme.retrieval.k,
+        "k_Dperp": n - scheme.retrieval.k,
+        "k_CD": n - k_CDperp,
+        "k_CDperp": k_CDperp,
+        "storage_rate": scheme.storage_rate_string,
+        "privacy": scheme.privacy_lower,
+        "rate": scheme.rate_string,
+    }
+    for name, d in distances.items():
+        if isinstance(d, DistanceResult):
+            d = d.lower if d.exact else f">={d.lower}"
+        computed[name] = d
+    cells = {}
+    for name in _COLUMNS:
+        if name not in printed:
+            continue
+        value, correction = printed[name], corrections.get(name)
+        if name.endswith("rate"):
+            value = f"{value}/{n}"
+            correction = None if correction is None else f"{correction}/{n}"
+        cells[name] = Cell(printed=value, computed=computed[name], correction=correction)
+    return TableRow(label=label, style=style, cells=cells, scheme=scheme)
 
 
 # --- full-affine tables (lengths 49 and 343) -------------------------------
 
-# (k_D, k_Dperp, k_CD, k_CDperp, d_D, d_Dperp, d_CD, d_CDperp, privacy, rate numerator)
+_TABLE_I_COLUMNS = (
+    "k_D", "k_Dperp", "k_CD", "k_CDperp", "d_D", "d_Dperp", "d_CD", "d_CDperp", "privacy", "rate",
+)
 _TABLE_I = [
-    ("shaded", 3, (10, 39, 15, 34, 28, 5, 21, 6, 4, 34)),
-    ("bold", 5, (8, 41, 14, 35, 28, 5, 21, 6, 4, 35)),
-    ("shaded", 4, (15, 34, 21, 28, 21, 6, 14, 7, 5, 28)),
-    ("bold", 6, (10, 39, 18, 31, 21, 6, 14, 7, 5, 31)),
-    ("shaded", 5, (21, 28, 28, 21, 14, 7, 7, 14, 6, 21)),
-    ("bold", 7, (14, 35, 23, 26, 14, 7, 7, 12, 6, 26)),
-    ("shaded", 6, (28, 21, 34, 15, 7, 14, 6, 21, 13, 15)),
-    ("bold", 14, (25, 24, 32, 17, 7, 14, 6, 20, 13, 17)),
-    ("shaded", 7, (34, 15, 39, 10, 6, 21, 5, 28, 20, 10)),
-    ("bold", 21, (34, 15, 39, 10, 6, 21, 5, 28, 20, 10)),
+    ("shaded", 3, (10, 39, 15, 34, 28, 5, 21, 6, 4, 34), {}),
+    ("bold", 5, (8, 41, 14, 35, 28, 5, 21, 6, 4, 35), {}),
+    ("shaded", 4, (15, 34, 21, 28, 21, 6, 14, 7, 5, 28), {}),
+    ("bold", 6, (10, 39, 18, 31, 21, 6, 14, 7, 5, 31), {}),
+    ("shaded", 5, (21, 28, 28, 21, 14, 7, 7, 14, 6, 21), {}),
+    ("bold", 7, (14, 35, 23, 26, 14, 7, 7, 12, 6, 26), {}),
+    ("shaded", 6, (28, 21, 34, 15, 7, 14, 6, 21, 13, 15), {}),
+    ("bold", 14, (25, 24, 32, 17, 7, 14, 6, 20, 13, 17), {}),
+    ("shaded", 7, (34, 15, 39, 10, 6, 21, 5, 28, 20, 10), {}),
+    ("bold", 21, (34, 15, 39, 10, 6, 21, 5, 28, 20, 10), {}),
 ]
 
-# (k_D, k_Dperp, k_CD, k_CDperp, d_D, d_Dperp, privacy, rate numerator);
-# product distances are not stored for this table.
+# product distances are not stored for this table
+_TABLE_II_COLUMNS = ("k_D", "k_Dperp", "k_CD", "k_CDperp", "d_D", "d_Dperp", "privacy", "rate")
 _TABLE_II = [
     ("shaded", 2, (10, 333, 20, 323, 245, 4, 3, 323), {}),
     ("bold", 4, (7, 336, 19, 324, 245, 4, 3, 324), {}),
@@ -558,78 +564,41 @@ _TABLE_II = [
 ]
 
 
-def _affine_row(fam, dC, C, C_cells, style, s, dD, printed, corrections, with_product=True):
-    n = fam.n_points
-    D = evaluate(fam, dD)
-    dDp = delta_dual(fam, dD)
-    dCD = minkowski_schur(fam, dC, dD)
-    CD = schur(C, D)
-    assert CD.k == len(dCD)
-    d_Dd = footprint_distance(fam, dDp)
-    scheme = PirScheme(
-        n=n,
-        storage=C,
-        retrieval=D,
-        privacy_lower=d_Dd - 1,
-        rate=Fraction(n - CD.k, n),
-        storage_rate=Fraction(C.k, n),
-        transitivity=combine_transitivity(
-            transitivity_premises(fam, dC), transitivity_premises(fam, dD)
-        ),
-    )
-    kD, kDd, kCD, kCDd = printed[:4]
-    cells = dict(C_cells)
-    cells["k_D"] = Cell(printed=kD, computed=D.k)
-    cells["d_D"] = Cell(
-        printed=printed[4],
-        computed=footprint_distance(fam, dD),
-        correction=corrections.get("d_D"),
-    )
-    cells["k_Dperp"] = Cell(printed=kDd, computed=n - D.k)
-    cells["d_Dperp"] = Cell(printed=printed[5], computed=d_Dd)
-    cells["k_CD"] = Cell(printed=kCD, computed=CD.k, correction=corrections.get("k_CD"))
-    if with_product:
-        cells["d_CD"] = Cell(printed=printed[6], computed=footprint_distance(fam, dCD))
-    cells["k_CDperp"] = Cell(printed=kCDd, computed=n - CD.k)
-    if with_product:
-        cells["d_CDperp"] = Cell(
-            printed=printed[7], computed=footprint_distance(fam, delta_dual(fam, dCD))
-        )
-    base = 8 if with_product else 6
-    cells["privacy"] = Cell(printed=printed[base], computed=scheme.privacy_lower)
-    cells["rate"] = Cell(printed=f"{printed[base + 1]}/{n}", computed=scheme.rate_string)
-    return TableRow(label=f"s={s}", style=style, cells=cells, scheme=scheme)
-
-
-def _table_affine(m: int, fixture, product_distances: bool) -> list[TableRow]:
+def _table_affine(m: int, fixture, columns) -> list[TableRow]:
     fam = full_affine_family(7, m)
     dC = delta_rm(7, m, 1)
     C = evaluate(fam, dC)
-    C_cells = {
-        "k_C": Cell(printed=m + 1, computed=C.k),
-        "d_C": Cell(printed=6 * 7 ** (m - 1), computed=footprint_distance(fam, dC)),
-    }
+    d_C = footprint_distance(fam, dC)
     rows = []
-    for entry in fixture:
-        style, s, printed = entry[:3]
-        corrections = entry[3] if len(entry) > 3 else {}
-        dD = (
-            delta_rm(7, m, s)
-            if style == "shaded"
-            else delta_dual(fam, delta_hyperbolic(7, m, s))
+    for style, s, values, corrections in fixture:
+        dD = delta_rm(7, m, s) if style == "shaded" else delta_dual(fam, delta_hyperbolic(7, m, s))
+        D = evaluate(fam, dD)
+        dCD = minkowski_schur(fam, dC, dD)
+        CD = schur(C, D)
+        assert CD.k == len(dCD)
+        distances = {
+            "d_C": d_C,
+            "d_D": footprint_distance(fam, dD),
+            "d_Dperp": footprint_distance(fam, delta_dual(fam, dD)),
+        }
+        if "d_CD" in columns:
+            distances["d_CD"] = footprint_distance(fam, dCD)
+            distances["d_CDperp"] = footprint_distance(fam, delta_dual(fam, dCD))
+        scheme = PirScheme.of(
+            C, D, CD, distances["d_Dperp"] - 1,
+            combine_transitivity(transitivity_premises(fam, dC), transitivity_premises(fam, dD)),
         )
-        rows.append(
-            _affine_row(fam, dC, C, C_cells, style, s, dD, printed, corrections, product_distances)
-        )
+        printed = {"k_C": m + 1, "d_C": 6 * 7 ** (m - 1), **dict(zip(columns, values))}
+        rows.append(_row(f"s={s}", style, scheme, printed, distances, corrections))
     return rows
 
 
 def _table_I() -> list[TableRow]:
-    return _table_affine(2, _TABLE_I, True)
+    return _table_affine(2, _TABLE_I, _TABLE_I_COLUMNS)
 
 
 def _table_II() -> list[TableRow]:
-    return _table_affine(3, _TABLE_II, False)
+    return _table_affine(3, _TABLE_II, _TABLE_II_COLUMNS)
 
 
 # --- length-48 cyclic table -------------------------------------------------
@@ -653,7 +622,7 @@ _CYC48_BOLD_REPS[14] = _CYC48_BOLD_REPS[13] + (20, 0, 3)
 _CYC48_BOLD_REPS[15] = _CYC48_BOLD_REPS[14] + (1,)
 _CYC48_BOLD_REPS[16] = _CYC48_BOLD_REPS[15] + (16,)
 
-# (k_D, k_Dperp, d_Dperp, k_CD, k_CDperp, privacy, rate numerator)
+_CYC48_BOLD_COLUMNS = ("k_D", "k_Dperp", "d_Dperp", "k_CD", "k_CDperp", "privacy", "rate")
 _CYC48_BOLD = {
     1: ((4, 44, 4, 8, 40, 3, 40), {}),
     2: ((7, 41, 5, 14, 34, 4, 34), {}),
@@ -673,7 +642,8 @@ _CYC48_BOLD = {
     16: ((43, 5, 35, 46, 2, 34, 2), {}),
 }
 
-# (k_D, k_Dperp, k_CD, k_CDperp, privacy, rate numerator); d(D^perp) = s.
+# d(D^perp) = s on these rows
+_CYC48_SHADED_COLUMNS = ("k_D", "k_Dperp", "k_CD", "k_CDperp", "privacy", "rate")
 _CYC48_SHADED = {
     4: (5, 43, 10, 38, 3, 38),
     5: (8, 40, 14, 34, 4, 34),
@@ -697,9 +667,21 @@ _CYC48_ORDER = [
     ("shaded", 35), ("bold", 16),
 ]
 
-# how each bold dual distance is certified: exhaustive search, a fixed-window
-# search exploiting cyclicity, an exact support search, a meet-in-the-middle
-# syndrome search, or the consecutive-roots bound (default).
+_CYC48_ORDER = [
+    ("shaded", 4), ("bold", 1), ("shaded", 5), ("bold", 2), ("shaded", 6),
+    ("bold", 3), ("shaded", 8), ("bold", 4), ("shaded", 9), ("bold", 5),
+    ("shaded", 12), ("bold", 6), ("bold", 7), ("shaded", 14), ("bold", 8),
+    ("bold", 9), ("shaded", 20), ("bold", 10), ("shaded", 21), ("bold", 11),
+    ("bold", 12), ("shaded", 24), ("bold", 13), ("bold", 14), ("bold", 15),
+    ("shaded", 35), ("bold", 16),
+]
+
+# How each bold row certifies d(D^perp).  "exhaustive" enumerates the code and
+# "window" runs the fixed-window search that cyclicity allows; both are exact.
+# The other routes differ only in where the lower bound comes from: the
+# support search ("search"), an uncapped syndrome split search ("split"), or
+# the consecutive-roots bound (the default, "bch"); the witness search of
+# `certify_distance` supplies the upper end.
 _CYC48_STRATEGY = {
     1: "search", 3: "search", 4: "split", 13: "window",
     14: "exhaustive", 15: "exhaustive", 16: "exhaustive",
@@ -707,38 +689,28 @@ _CYC48_STRATEGY = {
 
 
 def _certify_distance(
-    Dd: LinearCode,
-    target: int,
-    strategy: str,
-    budget: SearchBudget,
-    *,
-    family=None,
-    qprime=None,
-    delta=None,
+    Dd: LinearCode, target: int, strategy: str, budget: SearchBudget,
+    *, family=None, qprime=None, delta=None,
 ) -> DistanceResult:
     """Certified bracket on d(Dd) aimed at the stored value `target`."""
     if strategy == "exhaustive":
         return exhaustive_min_weight(Dd)
     if strategy == "window":
         return cyclic_min_weight_upto(Dd, target)
-    if strategy in ("search", "split"):
-        search = low_weight_search if strategy == "search" else syndrome_split_search
-        excluded, word = search(Dd, target - 1, budget)
+    lower = None
+    if strategy == "split":
+        excluded, word = syndrome_split_search(Dd, target - 1, budget)
         if word is not None:
             return DistanceResult(excluded + 1, int(np.count_nonzero(word)), word)
-        wit = find_weight_witness(Dd, target, budget)
-        upper = int(np.count_nonzero(wit)) if wit is not None else Dd.n
-        return DistanceResult(excluded + 1, upper, wit)
-    bound = dual_bch_bound(family, qprime, delta)
-    wit = _isd_witness(Dd, bound, seed=7, max_iters=400, budget=budget)
-    upper = int(np.count_nonzero(wit)) if wit is not None else Dd.n
-    return DistanceResult(bound, upper, wit)
+        lower = excluded + 1
+    elif strategy != "search":
+        lower = dual_bch_bound(family, qprime, delta)
+    return certify_distance(Dd, target, budget, lower=lower)
 
 
 def _table_cyclic48() -> list[TableRow]:
     budget = SearchBudget()
     fam = JAffineFamily(field_from_order(49), (49,), (1,))
-    n = 48
     dC = closure(fam, 7, DefiningSet(fam, [(24,), (25,)]))
     C = subfield_code(fam, 7, dC)
     tC = verify_transitive(C, family=fam)
@@ -749,45 +721,23 @@ def _table_cyclic48() -> list[TableRow]:
     rows = []
     for style, key in _CYC48_ORDER:
         if style == "bold":
-            printed, corrections = _CYC48_BOLD[key]
-            kD_p, kDd_p, d_p, kCD_p, kCDd_p, priv_p, rate_p = printed
+            values, corrections = _CYC48_BOLD[key]
+            printed = dict(zip(_CYC48_BOLD_COLUMNS, values))
             dD = closure(fam, 7, DefiningSet(fam, [(e,) for e in _CYC48_BOLD_REPS[key]]))
             D = subfield_code(fam, 7, dD)
-            Dd = dual(D)
             CD = schur(C, D)
             assert CD.k == len(schur_subfield(fam, 7, dC, dD))
             res = _certify_distance(
-                Dd, corrections.get("d_Dperp", d_p), _CYC48_STRATEGY.get(key, "bch"),
-                budget, family=fam, qprime=7, delta=dD,
+                dual(D), corrections.get("d_Dperp", printed["d_Dperp"]),
+                _CYC48_STRATEGY.get(key, "bch"), budget, family=fam, qprime=7, delta=dD,
             )
             tD = verify_transitive(D, family=fam)
-            scheme = PirScheme(
-                n=n, storage=C, retrieval=D, privacy_lower=res.lower - 1,
-                rate=Fraction(n - CD.k, n), storage_rate=Fraction(C.k, n),
-                transitivity=combine_transitivity(tC, tD),
-            )
-            cells = {
-                "k_C": Cell(printed=3, computed=C.k),
-                "k_D": Cell(printed=kD_p, computed=D.k),
-                "k_Dperp": Cell(printed=kDd_p, computed=n - D.k),
-                "d_Dperp": _dist_cell(d_p, res, corrections.get("d_Dperp")),
-                "k_CD": Cell(printed=kCD_p, computed=CD.k, correction=corrections.get("k_CD")),
-                "k_CDperp": Cell(
-                    printed=kCDd_p, computed=n - CD.k, correction=corrections.get("k_CDperp")
-                ),
-                "privacy": Cell(printed=priv_p, computed=scheme.privacy_lower),
-                "rate": Cell(
-                    printed=f"{rate_p}/{n}",
-                    computed=scheme.rate_string,
-                    correction=(
-                        f"{corrections['rate']}/{n}" if "rate" in corrections else None
-                    ),
-                ),
-            }
-            rows.append(TableRow(label=f"b{key}", style=style, cells=cells, scheme=scheme))
+            scheme = PirScheme.of(C, D, CD, res.lower - 1, combine_transitivity(tC, tD))
+            label = f"b{key}"
         else:
             s = key
-            kD_p, kDd_p, kCD_p, kCDd_p, priv_p, rate_p = _CYC48_SHADED[s]
+            printed = {**dict(zip(_CYC48_SHADED_COLUMNS, _CYC48_SHADED[s])), "d_Dperp": s}
+            corrections = {}
             hyp = delta_hyperbolic(7, 2, s)
             H = evaluate(famA, hyp)
             word, wt = footprint_witness(famA, hyp)
@@ -801,29 +751,19 @@ def _table_cyclic48() -> list[TableRow]:
             # d(Dp^perp) = s: shortening cannot lower the minimum weight of H
             # (whole-code distance s), and the witness survives restriction.
             assert int(np.count_nonzero(restricted)) == s and restricted in Dpd
-            CDp = schur(Cp, Dp)
-            scheme = PirScheme(
-                n=n, storage=Cp, retrieval=Dp, privacy_lower=s - 1,
-                rate=Fraction(n - CDp.k, n), storage_rate=Fraction(Cp.k, n),
-                transitivity=UNVERIFIED,
-            )
-            cells = {
-                "k_C": Cell(printed=3, computed=Cp.k),
-                "k_D": Cell(printed=kD_p, computed=Dp.k),
-                "k_Dperp": Cell(printed=kDd_p, computed=n - Dp.k),
-                "d_Dperp": Cell(printed=s, computed=s),
-                "k_CD": Cell(printed=kCD_p, computed=CDp.k),
-                "k_CDperp": Cell(printed=kCDd_p, computed=n - CDp.k),
-                "privacy": Cell(printed=priv_p, computed=scheme.privacy_lower),
-                "rate": Cell(printed=f"{rate_p}/{n}", computed=scheme.rate_string),
-            }
-            rows.append(TableRow(label=f"s={s}", style=style, cells=cells, scheme=scheme))
+            res = s
+            scheme = PirScheme.of(Cp, Dp, schur(Cp, Dp), s - 1)
+            label = f"s={s}"
+        printed["k_C"] = 3
+        rows.append(_row(label, style, scheme, printed, {"d_Dperp": res}, corrections))
     return rows
 
 
 # --- length-255 binary table ------------------------------------------------
 
-# (class index, k_D, k_Dperp, d_Dperp, k_CD, k_CDperp, privacy)
+# (class index, then the stored cells in _TABLE_IV_COLUMNS order); the stored
+# rate numerator is k_CDperp.
+_TABLE_IV_COLUMNS = ("k_D", "k_Dperp", "d_Dperp", "k_CD", "k_CDperp", "privacy")
 _TABLE_IV_ROWS = [
     (1, 9, 246, 4, 27, 228, 3),
     (2, 17, 238, 6, 51, 204, 5),
@@ -839,38 +779,24 @@ _TABLE_IV_ROWS = [
 def _table_IV() -> list[TableRow]:
     budget = SearchBudget()
     fam = JAffineFamily(field_from_order(256), (256,), (1,))
-    n = 255
     dC = DefiningSet(fam, [(0,), (85,), (170,)])
     assert is_coset_closed(fam, 2, dC)
     C = subfield_code(fam, 2, dC)
-    dC_res = exhaustive_min_weight(C)
+    d_C = exhaustive_min_weight(C)
     tC = verify_transitive(C, family=fam)
     rows = []
-    for i, kD_p, kDd_p, d_p, kCD_p, kCDd_p, priv_p in _TABLE_IV_ROWS:
+    for i, *values in _TABLE_IV_ROWS:
+        printed = dict(zip(_TABLE_IV_COLUMNS, values))
         dD = consecutive_union(fam, 2, i)
         D = subfield_code(fam, 2, dD)
-        Dd = dual(D)
         CD = schur(C, D)
         assert CD.k == len(schur_subfield(fam, 2, dC, dD))
-        res = _certify_distance(Dd, d_p, "bch", budget, family=fam, qprime=2, delta=dD)
+        bound = dual_bch_bound(fam, 2, dD)
+        res = certify_distance(dual(D), printed["d_Dperp"], budget, lower=bound)
         tD = transitivity_premises(fam, dD, 2)
-        scheme = PirScheme(
-            n=n, storage=C, retrieval=D, privacy_lower=res.lower - 1,
-            rate=Fraction(n - CD.k, n), storage_rate=Fraction(C.k, n),
-            transitivity=combine_transitivity(tC, tD),
-        )
-        cells = {
-            "k_C": Cell(printed=3, computed=C.k),
-            "d_C": _dist_cell(85, dC_res),
-            "k_D": Cell(printed=kD_p, computed=D.k),
-            "k_Dperp": Cell(printed=kDd_p, computed=n - D.k),
-            "d_Dperp": _dist_cell(d_p, res),
-            "k_CD": Cell(printed=kCD_p, computed=CD.k),
-            "k_CDperp": Cell(printed=kCDd_p, computed=n - CD.k),
-            "privacy": Cell(printed=priv_p, computed=scheme.privacy_lower),
-            "rate": Cell(printed=f"{kCDd_p}/{n}", computed=scheme.rate_string),
-        }
-        rows.append(TableRow(label=f"i={i}", style="bold", cells=cells, scheme=scheme))
+        scheme = PirScheme.of(C, D, CD, res.lower - 1, combine_transitivity(tC, tD))
+        printed.update(k_C=3, d_C=85, rate=printed["k_CDperp"])
+        rows.append(_row(f"i={i}", "bold", scheme, printed, {"d_C": d_C, "d_Dperp": res}, {}))
     return rows
 
 
@@ -879,8 +805,8 @@ def _table_IV() -> list[TableRow]:
 _B1_SEEDS = ((0, 0), (1, 0), (2, 0), (0, 1), (0, 2), (4, 0), (0, 4))
 _B2_SEEDS = _B1_SEEDS + ((1, 1), (2, 2), (4, 4))
 
-# (label, style, closure seeds, stored cells).  Stored cells are
-# (k_D, d_D, k_Dperp, d_Dperp, k_CD, k_CDperp, privacy, rate numerator).
+# (label, style, closure seeds, stored cells in _BERMAN_COLUMNS order)
+_BERMAN_COLUMNS = ("k_D", "d_D", "k_Dperp", "d_Dperp", "k_CD", "k_CDperp", "privacy", "rate")
 _BERMAN_ROWS = [
     ("B1", "bold", _B1_SEEDS, (7, 21, 42, 4, 7, 42, 3, 42)),
     ("B2", "bold", _B2_SEEDS, (10, 20, 39, 4, 10, 39, 3, 39)),
@@ -894,38 +820,21 @@ _BERMAN_ROWS = [
 def _table_berman49() -> list[TableRow]:
     budget = SearchBudget()
     fam = JAffineFamily(field_from_order(8), (8, 8), (1, 2))
-    n = 49
     dC = DefiningSet(fam, [(0, 0)])
     C = subfield_code(fam, 2, dC)
+    tC = verify_transitive(C, family=fam)
     rows = []
-    for label, style, seeds, printed in _BERMAN_ROWS:
-        kD_p, dD_p, kDd_p, dDd_p, kCD_p, kCDd_p, priv_p, rate_p = printed
+    for label, style, seeds, values in _BERMAN_ROWS:
+        printed = {"k_C": 1, "storage_rate": 1, **dict(zip(_BERMAN_COLUMNS, values))}
         dD = closure(fam, 2, DefiningSet(fam, seeds))
         D = subfield_code(fam, 2, dD)
-        Dd = dual(D)
-        res_D = exhaustive_min_weight(D)
-        res_Dd = _certify_distance(Dd, dDd_p, "search", budget)
+        res = certify_distance(dual(D), printed["d_Dperp"], budget)
         CD = schur(C, D)
         assert CD == D  # the storage code is the repetition code
         tD = verify_transitive(D, family=fam)
-        scheme = PirScheme(
-            n=n, storage=C, retrieval=D, privacy_lower=res_Dd.lower - 1,
-            rate=Fraction(n - CD.k, n), storage_rate=Fraction(C.k, n),
-            transitivity=combine_transitivity(verify_transitive(C, family=fam), tD),
-        )
-        cells = {
-            "k_C": Cell(printed=1, computed=C.k),
-            "k_D": Cell(printed=kD_p, computed=D.k),
-            "d_D": _dist_cell(dD_p, res_D),
-            "k_Dperp": Cell(printed=kDd_p, computed=n - D.k),
-            "d_Dperp": _dist_cell(dDd_p, res_Dd),
-            "k_CD": Cell(printed=kCD_p, computed=CD.k),
-            "k_CDperp": Cell(printed=kCDd_p, computed=n - CD.k),
-            "storage_rate": Cell(printed=f"1/{n}", computed=scheme.storage_rate_string),
-            "privacy": Cell(printed=priv_p, computed=scheme.privacy_lower),
-            "rate": Cell(printed=f"{rate_p}/{n}", computed=scheme.rate_string),
-        }
-        rows.append(TableRow(label=label, style=style, cells=cells, scheme=scheme))
+        scheme = PirScheme.of(C, D, CD, res.lower - 1, combine_transitivity(tC, tD))
+        distances = {"d_D": exhaustive_min_weight(D), "d_Dperp": res}
+        rows.append(_row(label, style, scheme, printed, distances, {}))
     return rows
 
 
@@ -933,7 +842,9 @@ def _table_berman49() -> list[TableRow]:
 
 _RM_CMP_SEEDS = ((0, 0), (0, 1), (1, 1), (1, 0), (3, 0), (5, 0))
 
-# (k_C, k_D, k_Dperp, d_Dperp, k_CDperp, rate numerator)
+# (r, style, stored cells in _RM_CMP_COLUMNS order, corrections); the stored
+# privacy is 7 on every row.
+_RM_CMP_COLUMNS = ("k_C", "k_D", "k_Dperp", "d_Dperp", "k_CDperp", "rate")
 _RM_CMP_ROWS = [
     (7, "shaded", (1, 37, 219, 8, 219, 219), {}),
     (7, "bold", (1, 30, 228, 8, 228, 228), {"k_Dperp": 226, "k_CDperp": 226, "rate": 226}),
@@ -945,9 +856,7 @@ _RM_CMP_ROWS = [
 def _table_rm_comparison() -> list[TableRow]:
     budget = SearchBudget()
     rows = []
-    for r, style, printed, corrections in _RM_CMP_ROWS:
-        kC_p, kD_p, kDd_p, dDd_p, kCDd_p, rate_p = printed
-        n = 2 ** (r + 1)
+    for r, style, values, corrections in _RM_CMP_ROWS:
         if style == "shaded":
             fam = full_affine_family(2, r + 1)
             dC = delta_rm(2, r + 1, 0)
@@ -956,9 +865,7 @@ def _table_rm_comparison() -> list[TableRow]:
             D = evaluate(fam, dD)
             d_exact = footprint_distance(fam, delta_dual(fam, dD))
             res = DistanceResult(d_exact, d_exact)
-            trans = combine_transitivity(
-                transitivity_premises(fam, dC), transitivity_premises(fam, dD)
-            )
+            tD = transitivity_premises(fam, dD)
         else:
             fam = JAffineFamily(field_from_order(2**r), (2**r, 2), ())
             dC = DefiningSet(fam, [(0, 0)])
@@ -966,42 +873,16 @@ def _table_rm_comparison() -> list[TableRow]:
             C = subfield_code(fam, 2, dC)
             D = subfield_code(fam, 2, dD)
             assert D.k <= 4 * r + 2
-            Dd = dual(D)
             bound, _ = hyperbolic_dual_certificate(fam, 2, dD, 8)
-            assert bound == 8
-            wit = find_weight_witness(Dd, 8, budget)
-            upper = int(np.count_nonzero(wit)) if wit is not None else n
-            res = DistanceResult(8, upper, wit)
-            trans = combine_transitivity(
-                transitivity_premises(fam, dC), verify_transitive(D, family=fam)
-            )
+            res = certify_distance(dual(D), 8, budget, lower=bound)
+            tD = verify_transitive(D, family=fam)
         CD = schur(C, D)
         assert CD == D  # degree-0 storage: the product adds nothing
-        scheme = PirScheme(
-            n=n, storage=C, retrieval=D, privacy_lower=res.lower - 1,
-            rate=Fraction(n - CD.k, n), storage_rate=Fraction(C.k, n),
-            transitivity=trans,
+        scheme = PirScheme.of(
+            C, D, CD, res.lower - 1, combine_transitivity(transitivity_premises(fam, dC), tD)
         )
-        cells = {
-            "k_C": Cell(printed=kC_p, computed=C.k),
-            "k_D": Cell(printed=kD_p, computed=D.k),
-            "k_Dperp": Cell(
-                printed=kDd_p, computed=n - D.k, correction=corrections.get("k_Dperp")
-            ),
-            "d_Dperp": _dist_cell(dDd_p, res),
-            "k_CDperp": Cell(
-                printed=kCDd_p, computed=n - CD.k, correction=corrections.get("k_CDperp")
-            ),
-            "privacy": Cell(printed=7, computed=scheme.privacy_lower),
-            "rate": Cell(
-                printed=f"{rate_p}/{n}",
-                computed=scheme.rate_string,
-                correction=(
-                    f"{corrections['rate']}/{n}" if "rate" in corrections else None
-                ),
-            ),
-        }
-        rows.append(TableRow(label=f"r={r}", style=style, cells=cells, scheme=scheme))
+        printed = {"privacy": 7, **dict(zip(_RM_CMP_COLUMNS, values))}
+        rows.append(_row(f"r={r}", style, scheme, printed, {"d_Dperp": res}, corrections))
     return rows
 
 

@@ -1,10 +1,19 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evalcode._gfmat import rref
-from evalcode.cartesian import JAffineFamily, field_from_order
+from evalcode.cartesian import (
+    JAffineFamily,
+    delta_rm,
+    evaluate,
+    field_from_order,
+    full_affine_family,
+)
 from evalcode.cyclotomic import consecutive_union, subfield_code
 from evalcode.galois import FieldError, make_field
 from evalcode.linear_code import (
@@ -12,6 +21,7 @@ from evalcode.linear_code import (
     LinearCode,
     SearchBudget,
     _verify_word,
+    certify_distance,
     contains,
     cyclic_min_weight_upto,
     dual,
@@ -98,6 +108,24 @@ def test_dual_involution_and_dims():
             assert F2.p == 2 and int(np.sum(r * h)) % 2 == 0
 
 
+def test_dual_pair_is_freed_without_the_cycle_collector():
+    gc.disable()
+    try:
+        C = hamming74()
+        D = dual(C)
+        assert dual(D) is C
+        alive = weakref.ref(C)
+        del C, D
+        assert alive() is None
+        C = hamming74()
+        assert dual(dual(C)) == C
+        D = dual(C)
+        del C
+        assert dual(D) == hamming74()  # recomputed once C is gone
+    finally:
+        gc.enable()
+
+
 def test_dual_repetition_is_parity():
     C = repetition(F2, 5)
     D = dual(C)
@@ -160,6 +188,12 @@ def test_min_distance_zero_code_rejected():
         min_distance(LinearCode.zero(F2, 4))
 
 
+def test_exhaustive_min_weight_zero_code_rejected():
+    for spec in (F2, F4):
+        with pytest.raises(ValueError, match="zero code"):
+            exhaustive_min_weight(LinearCode.zero(spec, 3))
+
+
 def test_exhaustive_gf7():
     # [10,2] code over GF(7)
     rng = np.random.default_rng(1)
@@ -211,6 +245,28 @@ def test_find_weight_witness_hamming():
     w4 = find_weight_witness(C, 4)
     assert w4 is not None and int(np.count_nonzero(w4)) == 4
     assert find_weight_witness(C, 2) is None
+
+
+def test_certify_distance_with_a_proved_bound():
+    rm = evaluate(full_affine_family(2, 4), delta_rm(2, 4, 1))  # [16,5,8]
+    res = certify_distance(rm, 8, lower=8)
+    assert res.exact and res.lower == 8
+    assert int(np.count_nonzero(res.witness)) == 8 and res.witness in rm
+    # weight 8 lies past the binary support search's level cap of 6
+    unproved = certify_distance(rm, 8)
+    assert (unproved.lower, unproved.upper) == (7, 8)
+
+
+def test_certify_distance_support_search_is_exact():
+    C = hamming74()
+    res = certify_distance(C, 3)
+    assert res.exact and res.lower == 3  # weights up to 2 excluded
+    assert int(np.count_nonzero(res.witness)) == 3 and res.witness in C
+
+
+def test_certify_distance_below_the_distance_is_a_bracket():
+    res = certify_distance(hamming74(), 2)
+    assert (res.lower, res.upper, res.exact) == (3, 7, False)
 
 
 def test_weight5_search_gf7():

@@ -11,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from evalcode._report import check_report
+from evalcode._report import check_report, columns_of
 from evalcode.cartesian import (
     DefiningSet,
     JAffineFamily,
@@ -295,6 +295,19 @@ def test_minkowski_growth_is_monotone():
 def test_table_unknown_kind():
     with pytest.raises(ValueError, match="cyclic48"):
         table("nope")
+
+
+def test_table_columns_follow_one_order():
+    expect = {
+        "I": ["k_C", "d_C", "k_D", "d_D", "k_Dperp", "d_Dperp", "k_CD", "d_CD",
+              "k_CDperp", "d_CDperp", "privacy", "rate"],
+        "IV": ["k_C", "d_C", "k_D", "k_Dperp", "d_Dperp", "k_CD", "k_CDperp", "privacy", "rate"],
+        "berman49": ["k_C", "k_D", "d_D", "k_Dperp", "d_Dperp", "k_CD", "k_CDperp",
+                     "storage_rate", "privacy", "rate"],
+        "rm_comparison": ["k_C", "k_D", "k_Dperp", "d_Dperp", "k_CDperp", "privacy", "rate"],
+    }
+    for kind, columns in expect.items():
+        assert columns_of(table(kind)) == columns
 
 
 def _rows_by_privacy(rows):
