@@ -126,10 +126,8 @@ def nullspace(M: np.ndarray, spec: FieldSpec) -> np.ndarray:
     R, pivots = rref(M, spec)
     free = [c for c in range(n) if c not in set(pivots)]
     out = np.zeros((len(free), n), dtype=np.int64)
-    for i, f in enumerate(free):
-        out[i, f] = 1
-        for j, c in enumerate(pivots):
-            out[i, c] = spec.neg(int(R[j, f]))
+    out[np.arange(len(free)), free] = 1
+    out[:, pivots] = spec.neg_arr(R[:, free].T)
     # rows are already echelon-ordered by free column; reduce for canonical form
     return rref(out, spec)[0]
 

@@ -235,7 +235,7 @@ def _distance_summary(
         )
         return DistanceResult(fb, wt), how
     if C.spec.q**C.k <= _EXHAUSTIVE_CAP:
-        return exhaustive_min_weight(C, _EXHAUSTIVE_CAP), "exhaustive enumeration"
+        return exhaustive_min_weight(C), "exhaustive enumeration"
     excluded, word = low_weight_search(C, 3, budget)
     if word is not None:
         import numpy as np

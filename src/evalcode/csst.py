@@ -42,11 +42,11 @@ from evalcode.galois import make_field
 from evalcode.linear_code import (
     LinearCode,
     SearchBudget,
-    _min_weight_from,
     certify_distance,
     contains,
     dual,
     min_distance,
+    min_weight_from,
     schur,
 )
 
@@ -80,28 +80,29 @@ class CssTParams:
 def _relative_weight_bound(A: LinearCode, B: LinearCode, budget: SearchBudget) -> tuple[int, str]:
     """Lower bound on wt(A \\ B) for B ⊆ A with B != A.
 
-    Enumerates A by cosets of B when the field is prime and the size fits the
-    budget (exact); otherwise falls back to a certified bound on wt(A).
+    Enumerates A by cosets of B when min_weight_from can enumerate A (exact);
+    otherwise falls back to a certified bound on wt(A).
     """
     spec = A.spec
-    if spec.r == 1 and spec.q**A.k <= budget.enumeration_cap and A.k <= 48:
-        stacked = np.vstack([B.gen, _complement_rows(A, B)]) if B.k else A.gen
-        # messages from q^{k_B} on have a digit outside B's rows
-        best, _ = _min_weight_from(stacked, spec.p, spec.q**B.k)
-        return best, "relative-exhaustive"
+    stacked = np.vstack([B.gen, _complement_rows(A, B)]) if B.k else A.gen
+    # messages from q^{k_B} on have a digit outside B's rows
+    found = min_weight_from(stacked, spec, spec.q**B.k)
+    if found is not None:
+        return found[0], "relative-exhaustive"
     res = min_distance(A, budget)
     return res.lower, "wt(A) lower bound" if not res.exact else "wt(A) exact"
 
 
 def _complement_rows(A: LinearCode, B: LinearCode) -> np.ndarray:
-    """Rows extending a basis of B to one of A (B ⊆ A)."""
+    """Rows extending a basis of B to one of A (B ⊆ A).
+
+    A's rows reduced against B's RREF vanish on B's pivot columns, and no
+    nonzero word of B does, so their nonzero RREF rows are independent of B.
+    """
     from evalcode import _gfmat
 
-    reduced = np.vstack([B.gen, A.gen])
-    rr, _ = _gfmat.rref(reduced, A.spec)
-    assert rr.shape[0] == A.k
-    # the first B.k rows of the RREF of [B; A] span B; the rest complete it
-    return rr[B.k :]
+    residual = A.spec.sub_arr(A.gen, _gfmat.matmul(A.gen[:, B.pivots], B.gen, A.spec))
+    return _gfmat.rref(residual, A.spec)[0]
 
 
 def css_params(C1: LinearCode, C2: LinearCode, budget: SearchBudget | None = None) -> CssTParams:

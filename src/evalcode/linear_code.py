@@ -4,10 +4,12 @@ subfield subcodes, and bounded minimum-distance machinery.
 A :class:`LinearCode` stores its generator in reduced row echelon form, so two
 codes are equal iff their stored matrices are equal.  Distance work never claims
 exactness without a certified lower bound *and* an explicit codeword witness:
-the engines here either enumerate exhaustively (within budget), exclude all
-supports of a given size, or search for witnesses (deterministic seeded search).
-The support search is one syndrome split search that works over every field;
-when its budget runs out it returns the levels it has excluded, never raising.
+the engines here either enumerate exhaustively, exclude all supports of a
+given size, or search for witnesses (deterministic seeded search).  The
+enumeration is exact over every field and holds at most _TABLE_ENTRIES word
+entries at once.  The support search is one syndrome split search that works
+over every field; when its budget runs out it returns the levels it has
+excluded, never raising.
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ import numpy as np
 from evalcode import _gfmat
 from evalcode.galois import FieldError, FieldSpec, make_field
 
-_ENUMERATION_CAP = 1 << 26
+_ENUMERATION_CAP = 1 << 26  # most codewords min_distance enumerates
+_TABLE_ENTRIES = 1 << 20  # most entries in the enumeration's table of words
 _SUPPORT_LEVEL_CAP = {True: 6, False: 5}  # exhaustive support search depth, keyed by q == 2
 _ISD_SEED, _ISD_ITERS = 7, 400  # information-set search: permutation seed, iterations
 
@@ -38,10 +41,10 @@ def _steps_from_env() -> int:
 
 @dataclass(frozen=True)
 class SearchBudget:
-    """Caps for distance searches; exhaustion degrades results, never errors."""
+    """Step cap for the support and witness searches; exhaustion degrades
+    results, never errors.  The enumeration size and the support level cap are the module
+    constants _ENUMERATION_CAP and _SUPPORT_LEVEL_CAP."""
 
-    enumeration_cap: int = _ENUMERATION_CAP
-    w_max: int = 6
     steps: int = 0
 
     def __post_init__(self):
@@ -296,54 +299,52 @@ def _xor_combine(lam: np.ndarray, B: np.ndarray) -> np.ndarray:
 # distance machinery
 
 
-def _min_weight_from(G: np.ndarray, p: int, start: int) -> tuple[int, np.ndarray | None]:
-    """Least weight of m @ G over GF(p) for the messages m whose index (base-p
-    digits, lowest first) is at least `start`, and a message attaining it."""
+def min_weight_from(G: np.ndarray, spec: FieldSpec, start: int) -> tuple[int, np.ndarray] | None:
+    """Least weight of m @ G over GF(q) for the messages m whose index (base-q
+    digits, lowest first) is at least `start`, and a word attaining it; None
+    when G has more than _ENUMERATION_CAP messages.
+
+    Exact in every field: the words of the first `a` rows of G are tabulated
+    once, with q^a * n <= _TABLE_ENTRIES, and each combination of the other
+    rows adds its word to the whole table, so memory stays bounded whatever
+    q^k is.
+    """
     k, n = G.shape
-    total = p**k
-    Gf = G.astype(np.float32)
-    digit_weights = p ** np.arange(k, dtype=np.int64)
-    best, best_msg = n + 1, None
-    chunk = max(1, min(total, (1 << 24) // max(1, n)))
-    for lo in range(start, total, chunk):
-        idx = np.arange(lo, min(lo + chunk, total), dtype=np.int64)
-        msgs = (idx[:, None] // digit_weights[None, :]) % p
-        wts = np.count_nonzero((msgs.astype(np.float32) @ Gf) % p, axis=1)
+    q = spec.q
+    if q**k > _ENUMERATION_CAP:
+        return None
+    a = 0
+    while a < k and q ** (a + 1) * n <= _TABLE_ENTRIES:
+        a += 1
+    table = np.zeros((1, n), dtype=np.int64)
+    scalars = np.arange(q, dtype=np.int64)[:, None, None]
+    for row in G[:a]:  # table index d * len(table) + i holds d * row + table[i]
+        table = spec.add_arr(spec.mul_arr(scalars, row), table[None]).reshape(-1, n)
+    size = len(table)
+    best, best_word = n + 1, None
+    for outer in range(start // size, q ** (k - a)):
+        word = np.zeros(n, dtype=np.int64)
+        for j, row in enumerate(G[a:]):
+            if digit := outer // q**j % q:
+                word = spec.add_arr(word, spec.scale_arr(digit, row))
+        wts = np.count_nonzero(spec.add_arr(table, word), axis=1)
+        wts[: max(0, start - outer * size)] = n + 1
         i = int(np.argmin(wts))
         if wts[i] < best:
-            best, best_msg = int(wts[i]), msgs[i].copy()
-    return best, best_msg
+            best, best_word = int(wts[i]), spec.add_arr(table[i], word)
+    return best, best_word
 
 
-def exhaustive_min_weight(C: LinearCode, cap: int = _ENUMERATION_CAP) -> DistanceResult:
-    """Exact minimum weight by enumerating all q^k codewords (prime fields)."""
+def exhaustive_min_weight(C: LinearCode) -> DistanceResult:
+    """Exact minimum weight by enumerating all q^k <= _ENUMERATION_CAP
+    codewords, over every field and in bounded memory; the witness is verified."""
     if C.k == 0:
         raise ValueError("minimum distance of the zero code is undefined")
-    spec = C.spec
-    if spec.r != 1:
-        return _exhaustive_min_weight_ext(C, cap)
-    total = spec.q**C.k
-    if total > cap:
-        raise ValueError(f"enumeration size {total} exceeds cap {cap}")
-    best, best_msg = _min_weight_from(C.gen, spec.p, 1)
-    witness = _gfmat.matmul(best_msg[None, :], C.gen, spec)[0]
-    assert np.count_nonzero(witness) == best
-    return DistanceResult(best, best, witness=witness)
-
-
-def _exhaustive_min_weight_ext(C: LinearCode, cap: int) -> DistanceResult:
-    spec = C.spec
-    total = spec.q**C.k
-    if total > cap or total * C.n > 1 << 28:
-        raise ValueError(f"enumeration size {total} exceeds cap {cap}")
-    words = np.zeros((1, C.n), dtype=np.int64)
-    for row in C.gen:
-        scaled = [spec.scale_arr(lam, row) for lam in range(spec.q)]
-        words = np.concatenate([spec.add_arr(words, s[None, :]) for s in scaled], axis=0)
-    wts = np.count_nonzero(words, axis=1)
-    wts[0] = C.n + 1  # zero word
-    i = int(np.argmin(wts))
-    return DistanceResult(int(wts[i]), int(wts[i]), witness=words[i])
+    found = min_weight_from(C.gen, C.spec, 1)
+    if found is None:
+        raise ValueError(f"enumeration size {C.spec.q**C.k} exceeds cap {_ENUMERATION_CAP}")
+    best, word = found
+    return DistanceResult(best, best, witness=_verify_word(C, word, best))
 
 
 def _verify_word(C: LinearCode, word: np.ndarray, w: int) -> np.ndarray:
@@ -472,7 +473,8 @@ def cyclic_min_weight_upto(C: LinearCode, w_cap: int) -> DistanceResult:
     most floor(w*k/n) nonzero entries inside a fixed window of k consecutive
     information positions, so enumerating all such sparse messages certifies:
     if the minimum found is <= w_cap it is the exact distance, otherwise the
-    distance exceeds w_cap.  Prime fields only.
+    distance exceeds w_cap.  Prime fields only.  The window products are
+    float64, exact for every field the library builds.
     """
     spec = C.spec
     if spec.r != 1:
@@ -493,12 +495,10 @@ def cyclic_min_weight_upto(C: LinearCode, w_cap: int) -> DistanceResult:
         raise ValueError("no consecutive information window found")
     omega = (w_cap * k) // n
     out_cols = [c for c in range(n) if c not in set(window)]
-    Gout = G[:, out_cols].astype(np.float32)
+    Gout = G[:, out_cols].astype(np.float64)
+    units = np.arange(1, spec.p, dtype=np.float64)
     best, best_word = n + 1, None
-    units = np.arange(1, spec.p, dtype=np.float32)
-    for t in range(1, omega + 1):
-        if t > k:
-            break
+    for t in range(1, min(omega, k) + 1):
         grids = np.stack(np.meshgrid(*([units] * t), indexing="ij"), axis=-1).reshape(-1, t)
         for support in itertools.combinations(range(k), t):
             words_out = (grids @ Gout[list(support)]) % spec.p
@@ -623,29 +623,19 @@ def syndrome_split_search(
     return w_max, None
 
 
-def min_distance(
-    C: LinearCode,
-    budget: SearchBudget | None = None,
-    *,
-    lower_hint: int = 1,
-) -> DistanceResult:
+def min_distance(C: LinearCode, budget: SearchBudget | None = None) -> DistanceResult:
     """Bounded minimum-distance computation.
 
-    Exact when the code is exhaustively enumerable within budget, or when the
+    Exact when the code has at most _ENUMERATION_CAP codewords, or when the
     support search finds a word at the first non-excluded level.  Otherwise a
-    bracket combining the exclusion level with any caller-provided lower bound
-    (e.g. a footprint or defining-set bound).
+    bracket from the exclusion level.
     """
     if C.k == 0:
         raise ValueError("minimum distance of the zero code is undefined")
-    budget = budget or SearchBudget()
-    if C.spec.q**C.k <= budget.enumeration_cap:
-        try:
-            return exhaustive_min_weight(C, budget.enumeration_cap)
-        except ValueError:
-            pass  # extension-field enumeration too large in memory; fall through
-    excluded, word = low_weight_search(C, budget.w_max, budget)
+    if C.spec.q**C.k <= _ENUMERATION_CAP:
+        return exhaustive_min_weight(C)
+    excluded, word = low_weight_search(C, _SUPPORT_LEVEL_CAP[C.spec.q == 2], budget)
     if word is not None:
         w = int(np.count_nonzero(word))
-        return DistanceResult(max(lower_hint, w), w, witness=word)
-    return DistanceResult(max(lower_hint, excluded + 1), C.n)
+        return DistanceResult(w, w, witness=word)
+    return DistanceResult(excluded + 1, C.n)

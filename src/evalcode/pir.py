@@ -667,15 +667,6 @@ _CYC48_ORDER = [
     ("shaded", 35), ("bold", 16),
 ]
 
-_CYC48_ORDER = [
-    ("shaded", 4), ("bold", 1), ("shaded", 5), ("bold", 2), ("shaded", 6),
-    ("bold", 3), ("shaded", 8), ("bold", 4), ("shaded", 9), ("bold", 5),
-    ("shaded", 12), ("bold", 6), ("bold", 7), ("shaded", 14), ("bold", 8),
-    ("bold", 9), ("shaded", 20), ("bold", 10), ("shaded", 21), ("bold", 11),
-    ("bold", 12), ("shaded", 24), ("bold", 13), ("bold", 14), ("bold", 15),
-    ("shaded", 35), ("bold", 16),
-]
-
 # How each bold row certifies d(D^perp).  "exhaustive" enumerates the code and
 # "window" runs the fixed-window search that cyclicity allows; both are exact.
 # The other routes differ only in where the lower bound comes from: the

@@ -5,8 +5,16 @@ independent scripts — orbit enumeration, combinatorial dual counts, and
 low-weight searches — and are asserted here as frozen constants.
 """
 
+import itertools
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from evalcode import linear_code
+from evalcode._gfmat import matmul
 
 from evalcode.cartesian import (
     DefiningSet,
@@ -118,6 +126,40 @@ def test_css_params_certifies_reed_muller_pair_distance():
     params = css_params(C1, C2)
     assert (params.n, params.k) == (128, 36)
     assert params.d_lower == 4
+
+
+def brute_relative_weight(A, B):
+    """Least weight of a word of A outside B, word by word in scalar field ops."""
+    spec, best = A.spec, A.n + 1
+    for msg in itertools.product(range(spec.q), repeat=A.k):
+        word = [0] * A.n
+        for c, row in zip(msg, A.gen.tolist()):
+            word = [spec.add(x, spec.mul(c, y)) for x, y in zip(word, row)]
+        if np.array(word) not in B:
+            best = min(best, sum(1 for x in word if x))
+    return best
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.data())
+def test_css_params_relative_weights_match_brute_force_over_gf4(data):
+    # the coset count enumerates from message q^dim(B) on, past the words of B
+    n = data.draw(st.integers(2, 7), label="n")
+    k = data.draw(st.integers(1, min(n, 4)), label="k")
+    entries = st.lists(st.integers(0, 3), min_size=n * k, max_size=n * k)
+    C1 = LinearCode(F4, np.array(data.draw(entries), dtype=np.int64).reshape(k, n))
+    if C1.k == 0:
+        return
+    k2 = data.draw(st.integers(0, C1.k - 1), label="k2")
+    mix = st.lists(st.integers(0, 3), min_size=k2 * C1.k, max_size=k2 * C1.k)
+    coeffs = np.array(data.draw(mix), dtype=np.int64).reshape(k2, C1.k)
+    C2 = LinearCode(F4, matmul(coeffs, C1.gen, F4))  # a subcode of C1
+    table = data.draw(st.sampled_from([1, n, 4 * n, 1 << 20]), label="table")
+    with mock.patch.object(linear_code, "_TABLE_ENTRIES", table):
+        params = css_params(C1, C2)
+    assert params.cert("wt(C1\\C2)") == (brute_relative_weight(C1, C2), "relative-exhaustive")
+    b2 = brute_relative_weight(dual(C2), dual(C1))
+    assert params.cert("wt(C2^perp\\C1^perp)") == (b2, "relative-exhaustive")
 
 
 def test_is_csst_pair_reed_muller_fixture():

@@ -1,11 +1,16 @@
+import dataclasses
 import gc
+import itertools
+import tracemalloc
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from evalcode import linear_code
 from evalcode._gfmat import rref
 from evalcode.cartesian import (
     JAffineFamily,
@@ -15,7 +20,7 @@ from evalcode.cartesian import (
     full_affine_family,
 )
 from evalcode.cyclotomic import consecutive_union, subfield_code
-from evalcode.galois import FieldError, make_field
+from evalcode.galois import FieldError, make_field, subgroup_roots
 from evalcode.linear_code import (
     DistanceResult,
     LinearCode,
@@ -194,6 +199,63 @@ def test_exhaustive_min_weight_zero_code_rejected():
             exhaustive_min_weight(LinearCode.zero(spec, 3))
 
 
+def brute_min_weight(C):
+    """Least weight of a nonzero codeword, word by word in scalar field ops."""
+    spec, best = C.spec, C.n + 1
+    for msg in itertools.product(range(spec.q), repeat=C.k):
+        if any(msg):
+            word = [0] * C.n
+            for c, row in zip(msg, C.gen.tolist()):
+                word = [spec.add(x, spec.mul(c, y)) for x, y in zip(word, row)]
+            best = min(best, sum(1 for x in word if x))
+    return best
+
+
+EXHAUSTIVE_FIELDS = [(2, 1), (3, 1), (2, 2), (7, 1), (2, 3), (3, 2), (2, 4)]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_exhaustive_min_weight_agrees_with_scalar_reference(data):
+    # small tables make the enumeration add many outer words to its table
+    for p, r in EXHAUSTIVE_FIELDS:
+        spec = make_field(p, r)
+        n = data.draw(st.integers(1, 8), label="n")
+        k_max = int(np.log(256) / np.log(spec.q) + 1e-9)  # q^k <= 256
+        k = data.draw(st.integers(1, min(n, k_max)), label="k")
+        entries = st.lists(st.integers(0, spec.q - 1), min_size=n * k, max_size=n * k)
+        C = LinearCode(spec, np.array(data.draw(entries), dtype=np.int64).reshape(k, n))
+        if C.k == 0:
+            continue
+        table = data.draw(st.sampled_from([1, n, spec.q * n, 1 << 20]), label="table")
+        with mock.patch.object(linear_code, "_TABLE_ENTRIES", table):
+            res = exhaustive_min_weight(C)
+        assert res.exact and res.lower == brute_min_weight(C), (spec.q, C.gen, table)
+        assert int(np.count_nonzero(res.witness)) == res.lower and res.witness in C
+
+
+def test_exhaustive_min_weight_is_exact_over_gf65537():
+    # products of GF(65537) entries exceed float32's exact range
+    spec = make_field(65537, 1)
+    C = LinearCode(spec, np.random.default_rng(0).integers(1, spec.q, size=(1, 6)))
+    res = exhaustive_min_weight(C)
+    assert res.exact and res.lower == 6 and res.witness in C
+    assert min_distance(C).lower == 6
+
+
+def test_exhaustive_min_weight_memory_is_bounded():
+    # all 4^9 words of a [24,9] code over GF(4) take 48 MB as one int64 array
+    C = LinearCode(F4, np.random.default_rng(5).integers(0, 4, size=(9, 24)))
+    tracemalloc.start()
+    try:
+        res = exhaustive_min_weight(C)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.exact and res.lower == 7 and res.witness in C
+    assert peak < 24 << 20
+
+
 def test_exhaustive_gf7():
     # [10,2] code over GF(7)
     rng = np.random.default_rng(1)
@@ -333,12 +395,21 @@ def test_is_cyclic_and_window_enumeration():
             cyclic_min_weight_upto(P, 3)
 
 
+def test_cyclic_window_is_exact_over_gf65537():
+    # cyclic Reed-Solomon [16,2,15] code: evaluations of 1 and x on the 16th roots of unity
+    roots = [x.idx for x in subgroup_roots(make_field(65537, 1), 16)]
+    rs = LinearCode(make_field(65537, 1), [[1] * 16, roots])
+    res = cyclic_min_weight_upto(rs, 15)
+    assert res.exact and res.lower == 15 and res.witness in rs
+
+
 def test_search_budget_env(monkeypatch):
     monkeypatch.setenv("EVALCODE_BUDGET_STEPS", "123456")
     assert SearchBudget().steps == 123456
     monkeypatch.delenv("EVALCODE_BUDGET_STEPS")
     assert SearchBudget().steps == 10**9
     assert SearchBudget(steps=55).steps == 55
+    assert [f.name for f in dataclasses.fields(SearchBudget)] == ["steps"]
 
 
 def test_distance_result_validation():
