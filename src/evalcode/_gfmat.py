@@ -5,6 +5,10 @@ reduction dispatches to a Python-int bitset path for GF(2) (rows packed into
 arbitrary-precision ints, elimination by XOR) and a vectorized table path for
 every other field.  Everything returns fully reduced row-echelon forms with
 pivot columns in increasing order, so RREF equality is code equality.
+
+Schur products (schur_rows) are deduplicated exactly on byte keys, one per
+product row: GF(2) rows are bit-packed and multiplied by a bytewise AND, and
+other fields key the int64 product rows of FieldSpec.mul_arr.
 """
 
 from __future__ import annotations
@@ -149,14 +153,30 @@ def matmul(A: np.ndarray, B: np.ndarray, spec: FieldSpec) -> np.ndarray:
 
 
 def schur_rows(A: np.ndarray, B: np.ndarray, spec: FieldSpec) -> np.ndarray:
-    """All componentwise products of a row of A with a row of B, deduplicated."""
+    """All componentwise products of a row of A with a row of B, deduplicated.
+
+    A square (A equal to B) forms only the products of row pairs i <= j.  The
+    products are deduplicated exactly as byte keys, one per row.  Over GF(2)
+    the rows are bit-packed (bit j = column j) and a product is their bytewise
+    AND, so a key is ceil(n/8) bytes; other fields key the int64 product row.
+    The kept rows come back as int64 in key order; RREF makes them canonical.
+    """
     A = np.asarray(A, dtype=np.int64)
     B = np.asarray(B, dtype=np.int64)
-    if A is B or (A.shape == B.shape and np.array_equal(A, B)):
-        iu, ju = np.triu_indices(A.shape[0])
-        prod = spec.mul_arr(A[iu], B[ju])
+    n = A.shape[1]
+    square = A is B or (A.shape == B.shape and np.array_equal(A, B))
+    mul = spec.mul_arr
+    if spec.q == 2:
+        A, B = (np.packbits(M.astype(np.uint8), axis=1, bitorder="little") for M in (A, B))
+        mul = np.bitwise_and
+    if square:
+        i, j = np.triu_indices(A.shape[0])
+        prod = mul(A[i], B[j])
     else:
-        prod = spec.mul_arr(A[:, None, :], B[None, :, :]).reshape(-1, A.shape[1])
-    if prod.shape[0] > 64:
-        prod = np.unique(prod, axis=0)
-    return prod
+        prod = mul(A[:, None, :], B[None, :, :]).reshape(-1, A.shape[1])
+    prod = np.ascontiguousarray(prod)
+    keys = np.unique(prod.view(np.dtype((np.void, prod.shape[1] * prod.itemsize))).ravel())
+    kept = keys.view(prod.dtype).reshape(len(keys), prod.shape[1])
+    if spec.q == 2:
+        kept = np.unpackbits(kept, axis=1, count=n, bitorder="little")
+    return kept.astype(np.int64)

@@ -43,12 +43,12 @@ from evalcode.cartesian import (
 from evalcode.csst import is_csst_pair, jaffine_csst, wrm_csst
 from evalcode.cyclotomic import closure, is_coset_closed, schur_subfield, subfield_code
 from evalcode.linear_code import (
+    _ENUMERATION_CAP,
     DistanceResult,
     LinearCode,
     SearchBudget,
     dual,
-    exhaustive_min_weight,
-    low_weight_search,
+    min_distance,
     schur,
 )
 from evalcode.pir import (
@@ -68,7 +68,6 @@ _TABLE_KINDS = {
     "rm_comparison": pir.table,
 }
 
-_EXHAUSTIVE_CAP = 1 << 20
 _POINT_CAP = 1 << 20
 
 
@@ -234,15 +233,10 @@ def _distance_summary(
             else f"footprint bound; best witness weight {wt}"
         )
         return DistanceResult(fb, wt), how
-    if C.spec.q**C.k <= _EXHAUSTIVE_CAP:
-        return exhaustive_min_weight(C), "exhaustive enumeration"
-    excluded, word = low_weight_search(C, 3, budget)
-    if word is not None:
-        import numpy as np
-
-        w = int(np.count_nonzero(word))
-        return DistanceResult(w, w, word), "low-weight support search"
-    return DistanceResult(excluded + 1, C.n), "support exclusion"
+    res = min_distance(C, budget)
+    if C.spec.q**C.k <= _ENUMERATION_CAP:
+        return res, "exhaustive enumeration"
+    return res, "low-weight support search" if res.exact else "support exclusion"
 
 
 def _summary_lines(

@@ -30,6 +30,7 @@ _ENUMERATION_CAP = 1 << 26  # most codewords min_distance enumerates
 _TABLE_ENTRIES = 1 << 20  # most entries in the enumeration's table of words
 _SUPPORT_LEVEL_CAP = {True: 6, False: 5}  # exhaustive support search depth, keyed by q == 2
 _ISD_SEED, _ISD_ITERS = 7, 400  # information-set search: permutation seed, iterations
+_SPLIT_TABLE_BYTES = 1 << 30  # most bytes of one split-search level's high half-table
 
 
 def _steps_from_env() -> int:
@@ -42,8 +43,9 @@ def _steps_from_env() -> int:
 @dataclass(frozen=True)
 class SearchBudget:
     """Step cap for the support and witness searches; exhaustion degrades
-    results, never errors.  The enumeration size and the support level cap are the module
-    constants _ENUMERATION_CAP and _SUPPORT_LEVEL_CAP."""
+    results, never errors.  The enumeration size, the support level cap and the split
+    search's table memory are the module constants _ENUMERATION_CAP, _SUPPORT_LEVEL_CAP
+    and _SPLIT_TABLE_BYTES."""
 
     steps: int = 0
 
@@ -579,8 +581,9 @@ def syndrome_split_search(
     cancelling pair; a key match counts only once the word passes membership
     in C, so each completed level is an exhaustive certificate.  Returns
     (excluded, word) like low_weight_search.  A level whose two half-tables
-    would hold more than budget.steps entries is not attempted: the search
-    returns (w-1, None) there and never raises for lack of budget.
+    would hold more than budget.steps entries, or whose high half-table would
+    take more than _SPLIT_TABLE_BYTES, is not attempted: the search returns
+    (w-1, None) there and never raises for lack of budget or memory.
     """
     spec = C.spec
     budget = budget or SearchBudget()
@@ -590,18 +593,22 @@ def syndrome_split_search(
         a, b = (w + 1) // 2, w // 2
         a_count = math.comb(n, a) * (spec.q - 1) ** (a - 1)
         b_count = math.comb(n, b) * (spec.q - 1) ** b
-        if a_count + b_count > budget.steps:
+        # the high half peaks at four int64 per entry while bfirst is gathered
+        # (sorted key, order, order // len(bgrids), first position), plus b
+        # int64 positions per support
+        table_bytes = 8 * (4 * b_count + b * math.comb(n, b))
+        if a_count + b_count > budget.steps or table_bytes > _SPLIT_TABLE_BYTES:
             return w - 1, None
         if rows is None:
             rows, pow_vec = _syndrome_sketch(C)
         bgrids = np.array(list(itertools.product(units, repeat=b)), dtype=np.int64)
-        bsup = next(_combination_chunks(n, b, math.comb(n, b)))
+        bsup = np.concatenate(list(_combination_chunks(n, b, 1 << 16)))
         bkeys = _half_keys(rows, bsup, bgrids, p, pow_vec, negate=True)
         # stable, so within a run of equal keys the high halves start in
         # increasing position and the run's last entry starts latest
         order = np.argsort(bkeys, kind="stable")
         bkeys = bkeys[order]
-        bfirst = np.column_stack([bsup, np.full(len(bsup), n)])[order // len(bgrids), 0]
+        bfirst = (bsup[:, 0] if b else np.full(len(bsup), n))[order // len(bgrids)]
         agrids = np.array(list(itertools.product([0], *[units] * (a - 1))), dtype=np.int64)
         for asup in _combination_chunks(n, a, max(1, (1 << 18) // len(agrids))):
             akeys = _half_keys(rows, asup, agrids, p, pow_vec, negate=False)

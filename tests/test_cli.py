@@ -1,15 +1,19 @@
 """Command-line interface tests: spec parsing, summaries, tables, certificates."""
 
 import json
+import os
 import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from evalcode.cli import main
-from evalcode.linear_code import SearchBudget
+import evalcode
+from evalcode.cli import _distance_summary, main
+from evalcode.galois import make_field
+from evalcode.linear_code import LinearCode, SearchBudget
 
 FULL_BINARY_7 = {
     "ambient": {"p": 2, "r": 1},
@@ -70,6 +74,22 @@ def test_build_repetition_summary(tmp_path, capsys):
     code, out, _ = run(capsys, "build", spec_file(tmp_path, REP_SPEC))
     assert code == 0
     assert out.splitlines()[0] == "[64,1,64]"
+
+
+@pytest.mark.parametrize(
+    "k, n, seed, bracket, how",
+    [
+        # 2^22 words: more than the build summary used to enumerate, few enough
+        # for min_distance, which finds d = 4 where a weight-3 search left [4, 40]
+        (22, 40, 1, (4, 4), "exhaustive enumeration"),
+        (28, 40, 1, (3, 3), "low-weight support search"),
+        (30, 60, 0, (7, 60), "support exclusion"),
+    ],
+)
+def test_build_distance_is_min_distance(k, n, seed, bracket, how):
+    C = LinearCode(make_field(2, 1), np.random.default_rng(seed).integers(0, 2, size=(k, n)))
+    res, named = _distance_summary(C, None, None, None, SearchBudget())
+    assert C.k == k and (res.lower, res.upper) == bracket and named == how
 
 
 def test_build_reports_divisibility_failure(tmp_path, capsys):
@@ -252,9 +272,12 @@ def test_budget_env_override(monkeypatch):
 
 
 def test_console_script_runs():
+    # the subprocess imports the same evalcode as this test, installed or not
+    src = str(Path(evalcode.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "evalcode.cli", "table", "berman49", "--format", "csv"],
-        capture_output=True, text=True, timeout=300,
+        capture_output=True, text=True, timeout=300, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("row,style,")

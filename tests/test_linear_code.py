@@ -10,11 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evalcode import linear_code
-from evalcode._gfmat import rref
+from evalcode import csst, linear_code
+from evalcode._gfmat import rref, schur_rows
 from evalcode.cartesian import (
     JAffineFamily,
     delta_rm,
+    delta_wrm,
     evaluate,
     field_from_order,
     full_affine_family,
@@ -156,6 +157,55 @@ def test_schur_gf7():
     for a in C.gen:
         for b in D.gen:
             assert F7.mul_arr(a, b) in S
+
+
+def schur_reference(C, D):
+    """Span of every product of generator rows, in scalar field ops."""
+    spec = C.spec
+    rows = [[spec.mul(x, y) for x, y in zip(a, b)] for a in C.gen.tolist() for b in D.gen.tolist()]
+    return rref(np.array(rows, dtype=np.int64).reshape(-1, C.n), spec)[0]
+
+
+# byte keys of packed bits (GF(2)) and of int64 rows, for small and large q
+SCHUR_FIELDS = [(2, 1), (3, 1), (2, 2), (7, 1), (2, 3), (3, 2), (2, 4), (257, 1), (65537, 1)]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_schur_agrees_with_scalar_reference(data):
+    # up to 12 x 12 generator rows: products on both sides of 64
+    for p, r in SCHUR_FIELDS:
+        spec = make_field(p, r)
+        n = data.draw(st.integers(1, 20), label="n")
+
+        def code(label):
+            k = data.draw(st.integers(1, 12), label=label)
+            entries = st.lists(st.integers(0, spec.q - 1), min_size=n * k, max_size=n * k)
+            return LinearCode(spec, np.array(data.draw(entries), dtype=np.int64).reshape(k, n))
+
+        C = code("kC")
+        D = C if data.draw(st.booleans(), label="square") else code("kD")
+        if C.k == 0 or D.k == 0:
+            continue
+        assert np.array_equal(schur(C, D).gen, schur_reference(C, D)), (spec.q, C.gen, D.gen)
+        order = data.draw(st.sampled_from("CF"), label="order")  # need not be C-contiguous
+        rows = schur_rows(np.asarray(C.gen, order=order), np.asarray(D.gen, order=order), spec)
+        products = {tuple(spec.mul_arr(a, b).tolist()) for a in C.gen for b in D.gen}
+        assert len(rows) == len(products) and set(map(tuple, rows.tolist())) == products
+
+
+def test_schur_square_memory_is_bounded():
+    # table VII, m = 9: 17 391 products of length 512 from 186 generator rows
+    m, _, s, *_ = next(row for row in csst._VII_ROWS if row[0] == 9)
+    C1 = evaluate(full_affine_family(2, m), delta_wrm(2, m, s, (1,) + (2,) * (m - 1)))
+    tracemalloc.start()
+    try:
+        sq = schur(C1, C1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (C1.k, sq.k) == (186, 494)
+    assert peak < 32 << 20
 
 
 def test_contains_and_membership():
@@ -455,6 +505,22 @@ def test_syndrome_split_budget_degrades_honestly():
     full = SearchBudget(steps=10**9)
     excluded, word = syndrome_split_search(C, exact.lower, full)
     assert word is not None and int(np.count_nonzero(word)) == exact.lower
+
+
+def test_syndrome_split_memory_is_bounded():
+    # level 6 of this [11,3] code over GF(16) needs a high half of 165 * 15^3
+    # entries, about 13 MB; the patched limit stops the search before it
+    C = LinearCode(make_field(2, 4), np.random.default_rng(0).integers(0, 16, size=(3, 11)))
+    dual(C)  # cached before tracing starts
+    with mock.patch.object(linear_code, "_SPLIT_TABLE_BYTES", 1 << 20):
+        tracemalloc.start()
+        try:
+            excluded, word = syndrome_split_search(C, 6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert (excluded, word) == (5, None)
+    assert peak < 20 << 20
 
 
 def test_syndrome_split_extension_field():
