@@ -82,11 +82,11 @@ def _rref_generic(M: np.ndarray, spec: FieldSpec) -> tuple[np.ndarray, list[int]
         pv = int(A[r, c])
         if pv != 1:
             A[r] = spec.scale_arr(spec.inv(pv), A[r])
-        other = A[:, c].copy()
+        other = spec.neg_arr(A[:, c])  # row i adds -A[i, c] times the pivot row
         other[r] = 0
         hit = np.nonzero(other)[0]
         if hit.size:
-            A[hit] = spec.sub_arr(A[hit], spec.mul_arr(other[hit][:, None], A[r][None, :]))
+            A[hit] = spec.add_arr(A[hit], spec.mul_arr(other[hit][:, None], A[r][None, :]))
         pivots.append(c)
         r += 1
     return A[: len(pivots)], pivots
@@ -105,17 +105,13 @@ def rref(M: np.ndarray, spec: FieldSpec) -> tuple[np.ndarray, list[int]]:
     return _rref_generic(M, spec)
 
 
-def rank(M: np.ndarray, spec: FieldSpec) -> int:
-    return len(rref(M, spec)[1])
-
-
 def reduce_vector(R: np.ndarray, pivots: list[int], v: np.ndarray, spec: FieldSpec) -> np.ndarray:
-    """Residual of v after elimination against an RREF basis."""
+    """Residual of v after elimination against an RREF basis; row i alone is
+    nonzero in pivot column i, so its multiplier is -v there."""
     res = np.array(v, dtype=np.int64)
-    for i, c in enumerate(pivots):
-        coef = int(res[c])
-        if coef:
-            res = spec.sub_arr(res, spec.scale_arr(coef, R[i]))
+    for i, c in enumerate(spec.neg_arr(res[pivots]).tolist()):
+        if c:
+            res = spec.add_arr(res, spec.scale_arr(c, R[i]))
     return res
 
 

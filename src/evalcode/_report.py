@@ -66,9 +66,6 @@ class TableRow:
     def ok(self) -> bool:
         return all(c.match for c in self.cells.values())
 
-    def mismatches(self) -> list[str]:
-        return [name for name, c in self.cells.items() if not c.match]
-
 
 def columns_of(rows) -> list[str]:
     cols: list[str] = []

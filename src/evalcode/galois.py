@@ -4,20 +4,23 @@ Elements are encoded by their index ``sum(c_i * p**i)`` where ``(c_0, ..., c_{r-
 are the coordinates in the polynomial basis ``{1, x, ..., x^{r-1}}`` modulo a fixed
 irreducible polynomial.  The modulus is the first irreducible monic polynomial of
 degree r in element-index order, which makes every field construction deterministic
-and reproducible across runs.
+and reproducible across runs.  ``FieldSpec.digits_arr`` is the one map from indices
+to these coordinates, and ``from_digits_arr`` its inverse.
 
-For q <= 2^20 a discrete-log table pair (exp/log) is precomputed, so multiplicative
-arithmetic is table lookups; addition is XOR of indices in characteristic 2 and
-digit-wise modular addition otherwise.  All scalar operations also exist as
-vectorized numpy variants on index arrays, which is what the matrix kernels use.
-For q <= 2^10 the vectorized variants are single gathers from full q x q
-multiplication tables and, in odd characteristic, addition and subtraction tables;
-larger fields fall back to the log/antilog and digit-wise paths.
+Each operation has one rule.  Multiplication, inversion and powers read a
+discrete-log table pair (exp/log), built for q <= 2^20.  Addition is XOR of
+indices in characteristic 2 and a digit-wise sum mod p otherwise.  Negation is
+one gather from a q-entry table of (p - 1) * x, the identity in characteristic
+2, and subtraction adds the negation.  The rules are numpy ops on index arrays,
+which the matrix kernels use; the scalar add, neg, sub and pow call them.  For
+q <= 2^10, products and odd-characteristic sums are single gathers from q x q
+tables built by the same rules.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -130,7 +133,7 @@ class FieldSpec:
 
     __slots__ = (
         "p", "r", "q", "modulus", "_exp", "_log", "_gidx",
-        "_pow_p_digits", "_add", "_sub", "_mul", "_frob_table",
+        "_neg", "_add", "_mul", "_frob_table",
     )
 
     def __init__(self, p: int, r: int, modulus: tuple[int, ...]):
@@ -183,53 +186,24 @@ class FieldSpec:
         self._exp = exp
         self._log = log
         idxs = np.arange(q, dtype=np.int64)
-        # digit decomposition of every index, for odd-characteristic addition
-        if self.p != 2:
-            digs = np.empty((self.r, q), dtype=np.int64)
-            t = idxs.copy()
-            for i in range(self.r):
-                digs[i] = t % self.p
-                t //= self.p
-            self._pow_p_digits = digs
-        else:
-            self._pow_p_digits = None
-        self._add = self._sub = self._mul = None
+        self._neg = self._mul_log(self.p - 1, idxs)  # index p - 1 is -1; identity in char 2
+        self._add = self._mul = None
         if q <= _OP_TABLE_LIMIT:
             a, b = idxs[:, None], idxs[None, :]
             self._mul = self._mul_log(a, b)
             if self.p != 2:
-                self._add = self._add_digits(a, b, 1)
-                self._sub = self._add_digits(a, b, -1)
+                self._add = self._add_digits(a, b)
 
     # -- scalar ops on element indices ------------------------------------
 
     def add(self, a: int, b: int) -> int:
-        if self.p == 2:
-            return a ^ b
-        if self.r == 1:
-            return (a + b) % self.p
-        out, mul = 0, 1
-        for _ in range(self.r):
-            out += ((a + b) % self.p) * mul
-            a //= self.p
-            b //= self.p
-            mul *= self.p
-        return out
+        return int(self.add_arr(a, b))
 
     def neg(self, a: int) -> int:
-        if self.p == 2:
-            return a
-        if self.r == 1:
-            return (-a) % self.p
-        out, mul = 0, 1
-        for _ in range(self.r):
-            out += ((-a) % self.p) * mul
-            a //= self.p
-            mul *= self.p
-        return out
+        return int(self.neg_arr(a))
 
     def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
+        return int(self.sub_arr(a, b))
 
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
@@ -245,60 +219,63 @@ class FieldSpec:
         return self.mul(a, self.inv(b))
 
     def pow(self, a: int, e: int) -> int:
-        if a == 0:
-            if e == 0:
-                return 1
-            if e < 0:
-                raise ZeroDivisionError("0 to a negative power")
-            return 0
-        return int(self._exp[(self._log[a] * e) % (self.q - 1)])
+        if a == 0 and e < 0:
+            raise ZeroDivisionError("0 to a negative power")
+        return int(self.pow_arr(a, e))
 
     def order(self, a: int) -> int:
         """Multiplicative order of a nonzero element."""
         if a == 0:
             raise FieldError("zero has no multiplicative order")
-        k = int(self._log[a])
-        import math
-
-        return (self.q - 1) // math.gcd(k, self.q - 1)
+        return (self.q - 1) // math.gcd(int(self._log[a]), self.q - 1)
 
     # -- vectorized ops on numpy index arrays ------------------------------
 
-    def _add_digits(self, a: np.ndarray, b: np.ndarray, sign: int) -> np.ndarray:
-        """a + sign * b digit by digit, for odd characteristic."""
-        digs = self._pow_p_digits
-        a, b = np.broadcast_arrays(np.asarray(a), np.asarray(b))
-        out = np.zeros(a.shape, dtype=np.int64)
-        mul = 1
+    def digits_arr(self, a) -> np.ndarray:
+        """The GF(p) coordinates of each index on a new last axis, in the
+        narrowest unsigned dtype that holds p - 1."""
+        a = np.asarray(a, dtype=np.uint32)  # q <= 2^20; 32-bit division is the fast one
+        out = np.empty(a.shape + (self.r,), dtype=np.min_scalar_type(self.p - 1))
         for i in range(self.r):
-            out += ((digs[i][a] + sign * digs[i][b]) % self.p) * mul
-            mul *= self.p
+            quot = a // self.p
+            out[..., i] = a - quot * self.p
+            a = quot
         return out
+
+    def from_digits_arr(self, d) -> np.ndarray:
+        """Indices of the GF(p) coordinates on the last axis of d (at most r)."""
+        d = np.asarray(d)
+        out = np.zeros(d.shape[:-1], dtype=np.int64)
+        for i in reversed(range(d.shape[-1])):
+            out *= self.p
+            out += d[..., i]
+        return out
+
+    def _add_digits(self, a, b) -> np.ndarray:
+        """a + b digit by digit; each digit sum, below 2p, drops p once it reaches p."""
+        s = np.add(self.digits_arr(a), self.digits_arr(b), dtype=np.min_scalar_type(2 * self.p - 2))
+        s -= (s >= self.p) * s.dtype.type(self.p)
+        return self.from_digits_arr(s)
 
     def _mul_log(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         a, b = np.broadcast_arrays(np.asarray(a), np.asarray(b))
         out = np.zeros(a.shape, dtype=np.int64)
         nz = (a != 0) & (b != 0)
-        if np.any(nz):
-            out[nz] = self._exp[self._log[a[nz]] + self._log[b[nz]]]
+        out[nz] = self._exp[self._log[a[nz]] + self._log[b[nz]]]
         return out
 
     def add_arr(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        if self.p == 2:
+        if self.p == 2:  # XOR is far cheaper than a table gather
             return a ^ b
         if self._add is not None:
             return self._add[a, b]
-        return self._add_digits(a, b, 1)
+        return self._add_digits(a, b)
 
     def sub_arr(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        if self.p == 2:
-            return a ^ b
-        if self._sub is not None:
-            return self._sub[a, b]
-        return self._add_digits(a, b, -1)
+        return self.add_arr(a, self.neg_arr(b))
 
     def neg_arr(self, a: np.ndarray) -> np.ndarray:
-        return self.sub_arr(np.zeros_like(a), a)
+        return self._neg[a]
 
     def mul_arr(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         if self._mul is not None:
@@ -318,9 +295,10 @@ class FieldSpec:
 
     def pow_arr(self, a: np.ndarray, e: int) -> np.ndarray:
         """Elementwise a**e with the 0**0 == 1 convention."""
+        a = np.asarray(a)
         out = np.zeros(a.shape, dtype=np.int64)
         nz = a != 0
-        out[nz] = self._exp[(self._log[a[nz]] * e) % (self.q - 1)]
+        out[nz] = self._exp[self._log[a[nz]] * (e % (self.q - 1)) % (self.q - 1)]
         if e == 0:
             out[~nz] = 1
         return out
@@ -337,13 +315,13 @@ class FieldSpec:
     # -- structure ---------------------------------------------------------
 
     def coeffs(self, a: int) -> tuple[int, ...]:
-        return tuple(_digits(a, self.p, self.r))
+        return tuple(self.digits_arr(a).tolist())
 
     def from_coeffs(self, coeffs: Iterable[int]) -> int:
-        c = list(coeffs)
+        c = [ci % self.p for ci in coeffs]
         if len(c) > self.r:
             raise FieldError(f"too many coefficients for {self.name}")
-        return sum((ci % self.p) * self.p**i for i, ci in enumerate(c))
+        return int(self.from_digits_arr(np.array(c, dtype=np.int64)))
 
     def trace(self, a: int) -> int:
         """tr(a) = a + a^p + ... + a^{p^{r-1}}, an element of the prime field."""
@@ -357,11 +335,8 @@ class FieldSpec:
         """Indices of all elements of the subfield GF(p^s), s | r."""
         if self.r % s != 0:
             raise FieldError(f"GF({self.p}^{s}) is not a subfield of {self.name}")
-        qs = self.p**s
-        if qs == self.q:
-            return np.arange(self.q, dtype=np.int64)
         idxs = np.arange(self.q, dtype=np.int64)
-        return idxs[self.frobenius_arr(idxs, qs) == idxs]
+        return idxs[self.frobenius_arr(idxs, self.p**s) == idxs]
 
     @property
     def name(self) -> str:
@@ -474,10 +449,7 @@ def make_field(p: int, r: int = 1) -> FieldSpec:
         raise FieldError("extension degree must be >= 1")
     if p**r >= 2**63:
         raise FieldError("field too large")
-    if r == 1:
-        modulus = (0, 1)  # x, unused for prime fields
-        return FieldSpec(p, 1, modulus)
-    for idx in range(p**r):
+    for idx in range(p**r):  # for r = 1 this is x, which no product of constants meets
         cand = tuple(_digits(idx, p, r)) + (1,)
         if _is_irreducible(cand, p):
             return FieldSpec(p, r, cand)

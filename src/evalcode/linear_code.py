@@ -124,9 +124,6 @@ class LinearCode:
     def __repr__(self):
         return f"[{self.n},{self.k}]_{self.spec.q}"
 
-    def parity_check(self) -> np.ndarray:
-        return dual(self).gen
-
 
 # ---------------------------------------------------------------------------
 # spec operations
@@ -274,11 +271,7 @@ def subfield_subcode(C: LinearCode, s: int) -> LinearCode:
     D = spec.sub_arr(F, B)  # rows must be killed by the combination
     # expand each GF(q) entry into r GF(p) digits -> (r*k) x (r*n)
     prime = make_field(spec.p, 1)
-    digs = np.empty((D.shape[0], D.shape[1] * spec.r), dtype=np.int64)
-    tmp = D.copy()
-    for i in range(spec.r):
-        digs[:, i :: spec.r] = tmp % spec.p
-        tmp //= spec.p
+    digs = spec.digits_arr(D).reshape(D.shape[0], -1)
     lam = _gfmat.nullspace(digs.T, prime)  # combos over GF(p)
     if lam.shape[0] == 0:
         return LinearCode.zero(sub, C.n)
@@ -545,10 +538,8 @@ def _syndrome_sketch(C: LinearCode) -> tuple[np.ndarray, np.ndarray]:
         S = _gfmat.matmul(proj, S, spec)
     units = np.arange(1, spec.q, dtype=np.int64)
     scaled = spec.mul_arr(units[:, None, None], S.T[None, :, :])  # (q-1, n, rows of S)
-    digits = np.empty(scaled.shape + (spec.r,), dtype=np.min_scalar_type(p - 1))
-    for d in range(spec.r):
-        digits[..., d] = scaled // p**d % p
-    return digits.reshape(spec.q - 1, C.n, -1), p ** np.arange(S.shape[0] * spec.r, dtype=np.int64)
+    digits = spec.digits_arr(scaled).reshape(spec.q - 1, C.n, -1)
+    return digits, p ** np.arange(digits.shape[2], dtype=np.int64)
 
 
 def _half_keys(rows, sup, grids, p, pow_vec, negate):

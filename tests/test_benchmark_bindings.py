@@ -1,0 +1,50 @@
+"""The names the benchmark binds to must exist in the library.
+
+``benchmarks/spans.py`` wraps the functions listed in its ``TRACED`` table by
+name, and ``benchmarks/workloads.py`` reads a few private names of ``csst``
+and ``pir``.  A rename that misses them would otherwise fail only in a
+benchmark run.
+"""
+
+import importlib.util
+from pathlib import Path
+
+from evalcode import _gfmat, cartesian, csst, cyclotomic, linear_code, pir
+from evalcode.galois import FieldSpec
+
+SPANS = Path(__file__).resolve().parents[1] / "benchmarks" / "spans.py"
+
+# TRACED's module keys; the ``_gfmat`` layer is reported as ``gfmat``
+OWNERS = {
+    "galois": FieldSpec,
+    "gfmat": _gfmat,
+    "cartesian": cartesian,
+    "cyclotomic": cyclotomic,
+    "linear_code": linear_code,
+    "csst": csst,
+    "pir": pir,
+}
+
+
+def _traced() -> dict:
+    spec = importlib.util.spec_from_file_location("evalcode_bench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.TRACED
+
+
+def test_traced_functions_exist():
+    traced = _traced()
+    assert set(traced) == set(OWNERS)
+    for layer, names in traced.items():
+        for name in names:
+            # spans.py splits _gfmat.rref into rref_gf2 and rref_gfq by field
+            attr = "rref" if layer == "gfmat" and name.startswith("rref_") else name
+            assert callable(getattr(OWNERS[layer], attr, None)), f"{layer}.{name}"
+
+
+def test_private_names_the_workloads_read():
+    # the row lists are patched in place, the cyclic48 maps read by key
+    assert isinstance(csst._VII_ROWS, list) and isinstance(csst._JCSST_ROWS, list)
+    assert isinstance(pir._CYC48_STRATEGY, dict) and isinstance(pir._CYC48_BOLD_REPS, dict)
+    assert callable(pir._certify_distance)

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from evalcode.galois import (
     _OP_TABLE_LIMIT,
     FieldError,
+    _digits,
     arith,
     make_field,
     primitive_element,
@@ -146,12 +147,37 @@ def test_vectorized_ops_match_scalar():
             assert pw[i] == spec.pow(int(a[i]), e)
 
 
-def _assert_ops_match_scalar(spec, a, b):
+def _ref_add(spec, x, y, sign=1):
+    """x + sign * y by pure-Python digit arithmetic, sharing no table with FieldSpec."""
+    pairs = zip(_digits(x, spec.p, spec.r), _digits(y, spec.p, spec.r))
+    return sum(((u + sign * v) % spec.p) * spec.p**i for i, (u, v) in enumerate(pairs))
+
+
+def _assert_ops_match_reference(spec, a, b):
+    """Array and scalar ops against _ref_add and the polynomial product _raw_mul."""
     pairs = list(zip(a.tolist(), b.tolist()))
-    assert spec.add_arr(a, b).tolist() == [spec.add(x, y) for x, y in pairs]
-    assert spec.sub_arr(a, b).tolist() == [spec.add(x, spec.neg(y)) for x, y in pairs]
-    assert spec.mul_arr(a, b).tolist() == [spec.mul(x, y) for x, y in pairs]
-    assert spec.neg_arr(b).tolist() == [spec.neg(y) for y in b.tolist()]
+    add = [_ref_add(spec, x, y) for x, y in pairs]
+    sub = [_ref_add(spec, x, y, -1) for x, y in pairs]
+    neg = [_ref_add(spec, 0, y, -1) for y in b.tolist()]
+    mul = [spec._raw_mul(x, y) for x, y in pairs]
+    assert spec.add_arr(a, b).tolist() == add
+    assert spec.sub_arr(a, b).tolist() == sub
+    assert spec.neg_arr(b).tolist() == neg
+    assert spec.mul_arr(a, b).tolist() == mul
+    assert [spec.add(x, y) for x, y in pairs] == add
+    assert [spec.sub(x, y) for x, y in pairs] == sub
+    assert [spec.neg(y) for y in b.tolist()] == neg
+    assert [spec.mul(x, y) for x, y in pairs] == mul
+
+
+def _sample_pairs(spec, size, seed):
+    """Random index pairs plus every pair of the extreme indices 0, 1, p - 1, q - 1."""
+    rng = np.random.default_rng(seed)
+    edge = np.array([0, 1, spec.p - 1, spec.q - 1])
+    ea, eb = (x.ravel() for x in np.meshgrid(edge, edge, indexing="ij"))
+    a = np.concatenate([ea, rng.integers(0, spec.q, size=size)])
+    b = np.concatenate([eb, rng.integers(0, spec.q, size=size)])
+    return a, b
 
 
 @pytest.mark.parametrize("p,r", FIELDS)
@@ -159,23 +185,59 @@ def test_vectorized_ops_match_scalar_on_full_grid(p, r):
     spec = make_field(p, r)
     idx = np.arange(spec.q)
     a, b = (x.ravel() for x in np.meshgrid(idx, idx, indexing="ij"))
-    _assert_ops_match_scalar(spec, a, b)
-    products = spec.mul_arr(a, b).reshape(spec.q, spec.q)
+    if spec.q <= 64:
+        _assert_ops_match_reference(spec, a, b)
+    products = spec.mul_arr(a, b)
+    assert products.tolist() == [spec.mul(x, y) for x, y in zip(a.tolist(), b.tolist())]
+    assert np.array_equal(spec.sub_arr(spec.add_arr(a, b), b), a)
+    assert not np.any(spec.add_arr(idx, spec.neg_arr(idx)))
+    products = products.reshape(spec.q, spec.q)
     for c in range(spec.q):
         assert np.array_equal(spec.scale_arr(c, idx), products[c])
+
+
+@pytest.mark.parametrize("p,r", FIELDS + [(251, 1), (3, 7), (1031, 1), (65537, 1)])
+def test_ops_match_an_independent_reference(p, r):
+    # GF(251): digit sums up to 500 overflow uint8 digits
+    spec = make_field(p, r)
+    _assert_ops_match_reference(spec, *_sample_pairs(spec, 600, p * 100 + r))
 
 
 @pytest.mark.parametrize("p,r", [(3, 7), (1031, 1)])
 def test_fields_above_op_table_limit_use_digit_and_log_paths(p, r):
     spec = make_field(p, r)
     assert spec.q > _OP_TABLE_LIMIT
-    assert spec._add is None and spec._sub is None and spec._mul is None
+    assert spec._add is None and spec._mul is None
     rng = np.random.default_rng(p + r)
     a = rng.integers(0, spec.q, size=2000)
     b = rng.integers(0, spec.q, size=2000)
     b[:50] = 0  # the log path masks zeros separately
-    _assert_ops_match_scalar(spec, a, b)
+    _assert_ops_match_reference(spec, a, b)
     assert spec.scale_arr(int(a[0]), b).tolist() == [spec.mul(int(a[0]), y) for y in b.tolist()]
+
+
+@pytest.mark.parametrize("p,r", [(3, 5), (2, 9)])
+def test_coeffs_round_trip_on_every_index(p, r):
+    spec = make_field(p, r)
+    idx = np.arange(spec.q)
+    digits = spec.digits_arr(idx)
+    assert digits.dtype == np.uint8 and digits.shape == (spec.q, r)
+    for a in range(spec.q):
+        assert spec.coeffs(a) == tuple(_digits(a, p, r)) == tuple(digits[a].tolist())
+        assert spec.from_coeffs(spec.coeffs(a)) == a
+    assert np.array_equal(spec.from_digits_arr(digits), idx)
+
+
+def test_pow_reduces_huge_exponents():
+    F = make_field(7, 2)
+    e = 2**62 + 1
+    assert F.pow(10, e) == F._raw_pow(10, e) == 20
+    assert F.pow_arr(np.array([10, 3]), e).tolist() == [20, 5]
+    assert (F(10) ** 2**70).idx == F._raw_pow(10, 2**70)
+    # 0**0 == 1 is decided on e itself, so 0**(q-1) stays 0
+    assert F.pow(0, 0) == 1 and F.pow(0, 48) == 0 and F.pow(0, 2**70) == 0
+    assert F.pow_arr(np.array([0, 1]), 0).tolist() == [1, 1]
+    assert F.pow_arr(np.array([0, 10]), 48).tolist() == [0, 1]
 
 
 def test_subfield_indices():
