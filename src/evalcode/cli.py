@@ -43,7 +43,6 @@ from evalcode.cartesian import (
 from evalcode.csst import is_csst_pair, jaffine_csst, wrm_csst
 from evalcode.cyclotomic import closure, is_coset_closed, schur_subfield, subfield_code
 from evalcode.linear_code import (
-    _ENUMERATION_CAP,
     DistanceResult,
     LinearCode,
     SearchBudget,
@@ -232,20 +231,21 @@ def _distance_summary(
             if wt == fb
             else f"footprint bound; best witness weight {wt}"
         )
-        return DistanceResult(fb, wt), how
-    res = min_distance(C, budget)
-    if C.spec.q**C.k <= _ENUMERATION_CAP:
-        return res, "exhaustive enumeration"
-    return res, "low-weight support search" if res.exact else "support exclusion"
+        res = DistanceResult(fb, wt, how=how)
+    else:
+        res = min_distance(C, budget)
+    return res, res.how
 
 
 def _summary_lines(
     C: LinearCode,
     family: JAffineFamily,
-    delta: DefiningSet,
+    delta: DefiningSet | None,
     qprime: int | None,
     budget: SearchBudget,
 ) -> list[str]:
+    """Head, n, k and distance lines, then the defining set's properties
+    unless delta is None."""
     res, how = _distance_summary(C, family, delta, qprime, budget)
     if res is None:
         head = f"[{C.n},0,-]"
@@ -256,19 +256,17 @@ def _summary_lines(
     else:
         head = f"[{C.n},{C.k},d>={res.lower}]"
         dist = f"distance: in [{res.lower}, {res.upper}] ({how})"
+    lines = [head, f"n: {C.n}", f"k: {C.k}", dist]
+    if delta is None:
+        return lines
     closure_base = qprime if qprime is not None else family.spec.p
-    lines = [
-        head,
-        f"n: {C.n}",
-        f"k: {C.k}",
-        dist,
+    return lines + [
         f"decreasing: {'yes' if is_decreasing(delta) else 'no'}",
         (
             f"coset-closed over GF({closure_base}): "
             f"{'yes' if is_coset_closed(family, closure_base, delta) else 'no'}"
         ),
     ]
-    return lines
 
 
 def cmd_build(args) -> int:
@@ -386,31 +384,15 @@ def cmd_schur(args) -> int:
     if C1.spec is not C2.spec:
         raise SpecError(f"{args.c2}: subfield degree differs from {args.c1}")
     CD = schur(C1, C2)
-    budget = SearchBudget()
-    mink = minkowski_schur(family, d1, d2)
     if s1.qprime is None and s2.qprime is None:
-        for line in _summary_lines(CD, family, mink, None, budget):
-            print(line)
-        agrees = "yes" if CD.k == len(mink) else "no"
-        print(f"minkowski dimension: {len(mink)} (agrees: {agrees})")
+        delta = minkowski_schur(family, d1, d2)
+        name, predicted = "minkowski dimension", len(delta)
     else:
-        res, how = _distance_summary(CD, family, None, s1.qprime, budget)
-        head = (
-            f"[{CD.n},{CD.k},{res.lower}]"
-            if res is not None and res.exact
-            else f"[{CD.n},{CD.k},d>={res.lower if res else 1}]"
-        )
-        print(head)
-        print(f"n: {CD.n}")
-        print(f"k: {CD.k}")
-        if res is not None:
-            if res.exact:
-                print(f"distance: {res.lower} (exact; {how})")
-            else:
-                print(f"distance: in [{res.lower}, {res.upper}] ({how})")
         predicted = len(schur_subfield(family, s1.qprime, d1, d2))
-        agrees = "yes" if CD.k == predicted else "no"
-        print(f"grid dimension prediction: {predicted} (agrees: {agrees})")
+        delta, name = None, "grid dimension prediction"
+    for line in _summary_lines(CD, family, delta, s1.qprime, SearchBudget()):
+        print(line)
+    print(f"{name}: {predicted} (agrees: {'yes' if CD.k == predicted else 'no'})")
     return 0
 
 

@@ -42,7 +42,6 @@ from evalcode.galois import make_field
 from evalcode.linear_code import (
     LinearCode,
     SearchBudget,
-    certify_distance,
     contains,
     dual,
     min_distance,
@@ -480,7 +479,6 @@ def _table_vii() -> list[TableRow]:
 
 
 def _table_jcsst() -> list[TableRow]:
-    budget = SearchBudget()
     rows = []
     for label, order, N, J, axes, seeds, (n_pr, k_pr, d_pr), note in _JCSST_ROWS:
         fam = JAffineFamily(field_from_order(order), N, J)
@@ -492,7 +490,7 @@ def _table_jcsst() -> list[TableRow]:
         assert ok_gate, f"{label}: {cert}"
         k = len(d1) - len(d2)
         bound, _ = hyperbolic_dual_certificate(fam, 2, d2, d_pr)
-        res = certify_distance(dual(subfield_code(fam, 2, d2)), d_pr, budget, lower=bound)
+        res = min_distance(dual(subfield_code(fam, 2, d2)), lower=bound, target=d_pr)
         cells = {
             "n": Cell(printed=n_pr, computed=n),
             "k": Cell(printed=k_pr, computed=k, note=note),

@@ -204,8 +204,7 @@ def _longest_cyclic_run(present: Sequence[bool]) -> int:
     return min(best, n)
 
 
-def dual_bch_bound(family: JAffineFamily, qprime: int, delta: DefiningSet,
-                   use_multipliers: bool = True) -> int:
+def dual_bch_bound(family: JAffineFamily, qprime: int, delta: DefiningSet) -> int:
     """Lower bound on the dual distance of subfield_code(Δ), one variable only.
 
     Every dual word has polynomial syndrome zeros at all exponents of Δ, so a
@@ -222,8 +221,8 @@ def dual_bch_bound(family: JAffineFamily, qprime: int, delta: DefiningSet,
     if not exps:
         return 1
     n_mod = family.N[0] - 1
+    mults = [c for c in range(1, n_mod) if math.gcd(c, n_mod) == 1]
     if 1 in family.J:
-        mults = [c for c in range(1, n_mod) if math.gcd(c, n_mod) == 1] if use_multipliers else [1]
         best = 0
         for c in mults:
             scaled = [(c * a) % n_mod for a in exps]
@@ -236,7 +235,6 @@ def dual_bch_bound(family: JAffineFamily, qprime: int, delta: DefiningSet,
     if 0 not in exps:
         return 1
     units = {a for a in exps if a != 0}
-    mults = [c for c in range(1, n_mod) if math.gcd(c, n_mod) == 1] if use_multipliers else [1]
     if not units:
         return 2 if family.N[0] > 1 else 1
     best = 1

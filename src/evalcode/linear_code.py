@@ -5,11 +5,11 @@ A :class:`LinearCode` stores its generator in reduced row echelon form, so two
 codes are equal iff their stored matrices are equal.  Distance work never claims
 exactness without a certified lower bound *and* an explicit codeword witness:
 the engines here either enumerate exhaustively, exclude all supports of a
-given size, or search for witnesses (deterministic seeded search).  The
-enumeration is exact over every field and holds at most _TABLE_ENTRIES word
-entries at once.  The support search is one syndrome split search that works
-over every field; when its budget runs out it returns the levels it has
-excluded, never raising.
+given size, or search for witnesses (deterministic seeded search), and
+min_distance is the one planner over them.  The enumeration is exact over
+every field and holds at most _TABLE_ENTRIES word entries at once.  The
+support search is one syndrome split search that works over every field;
+when its budget runs out it returns the levels it has excluded, never raising.
 """
 
 from __future__ import annotations
@@ -55,17 +55,19 @@ class SearchBudget:
 
 
 class DistanceResult:
-    """Certified bracket [lower, upper] on a code's minimum distance."""
+    """Certified bracket [lower, upper] on a code's minimum distance; `how`
+    names the route that certified it."""
 
-    __slots__ = ("lower", "upper", "exact", "witness")
+    __slots__ = ("lower", "upper", "exact", "witness", "how")
 
-    def __init__(self, lower: int, upper: int, witness: np.ndarray | None = None):
+    def __init__(self, lower: int, upper: int, witness: np.ndarray | None = None, *, how: str):
         if lower > upper:
             raise ValueError(f"invalid distance bracket [{lower}, {upper}]")
         self.lower = int(lower)
         self.upper = int(upper)
         self.exact = lower == upper
         self.witness = witness
+        self.how = how
 
     def __repr__(self):
         if self.exact:
@@ -339,7 +341,7 @@ def exhaustive_min_weight(C: LinearCode) -> DistanceResult:
     if found is None:
         raise ValueError(f"enumeration size {C.spec.q**C.k} exceeds cap {_ENUMERATION_CAP}")
     best, word = found
-    return DistanceResult(best, best, witness=_verify_word(C, word, best))
+    return DistanceResult(best, best, _verify_word(C, word, best), how="exhaustive enumeration")
 
 
 def _verify_word(C: LinearCode, word: np.ndarray, w: int) -> np.ndarray:
@@ -400,10 +402,9 @@ def _isd_witness(C, w, budget):
         if len(piv) < k:
             continue
         wts = np.count_nonzero(R, axis=1)
+        # a row of R is a codeword with its coordinates in perm's order
         for i in np.nonzero(wts == w)[0]:
-            word = np.zeros(n, dtype=np.int64)
-            word[perm] = R[i]
-            return _verify_word(C, word, w)
+            return _verify_word(C, R[i][np.argsort(perm)], w)
         if spec.q == 2:
             bits = _gfmat.pack_rows(R)
             for i in range(k):
@@ -413,10 +414,7 @@ def _isd_witness(C, w, budget):
                         return None
                     v = bits[i] ^ bits[j]
                     if v.bit_count() == w:
-                        row = _gfmat.unpack_rows([v], n)[0]
-                        word = np.zeros(n, dtype=np.int64)
-                        word[perm] = row
-                        return _verify_word(C, word, w)
+                        return _verify_word(C, _gfmat.unpack_rows([v], n)[0][np.argsort(perm)], w)
         else:
             for i in range(k):
                 for j in range(i + 1, k):
@@ -426,33 +424,8 @@ def _isd_witness(C, w, budget):
                             return None
                         v = spec.add_arr(R[i], spec.scale_arr(lam, R[j]))
                         if int(np.count_nonzero(v)) == w:
-                            word = np.zeros(n, dtype=np.int64)
-                            word[perm] = v
-                            return _verify_word(C, word, w)
+                            return _verify_word(C, v[np.argsort(perm)], w)
     return None
-
-
-def certify_distance(
-    C: LinearCode, target: int, budget: SearchBudget | None = None, *, lower: int | None = None
-) -> DistanceResult:
-    """Certified bracket on d(C), aimed at an expected distance `target`.
-
-    `lower` is a lower bound on d(C) that the caller has proved.  Without
-    one, the support search runs once up to weight `target`: a word it finds
-    closes the bracket, and otherwise the bound is one more than the weight
-    it excluded.  The upper end is a verified weight-`target` codeword from
-    the seeded information-set search, or n when none is found.
-    """
-    budget = budget or SearchBudget()
-    if lower is None:
-        excluded, word = low_weight_search(C, target, budget)
-        if word is not None:
-            return DistanceResult(excluded + 1, int(np.count_nonzero(word)), word)
-        lower = excluded + 1
-    wit = None
-    if lower <= target:
-        wit = _isd_witness(C, target, budget)
-    return DistanceResult(lower, target if wit is not None else C.n, wit)
 
 
 def is_cyclic(C: LinearCode) -> bool:
@@ -506,20 +479,22 @@ def cyclic_min_weight_upto(C: LinearCode, w_cap: int) -> DistanceResult:
                 word = _gfmat.matmul(msg[None, :], G, spec)[0]
                 best_word = word
     if best <= w_cap:
-        return DistanceResult(best, best, witness=_verify_word(C, best_word, best))
-    return DistanceResult(w_cap + 1, C.n)
+        return DistanceResult(best, best, _verify_word(C, best_word, best), how="cyclic window")
+    return DistanceResult(w_cap + 1, C.n, how="cyclic window")
 
 
 def _combination_chunks(n: int, t: int, rows: int):
     """All t-subsets of range(n), in lexicographic order, as arrays of <= rows rows."""
     it = itertools.combinations(range(n), t)
-    while chunk := list(itertools.islice(it, rows)):
-        flat = itertools.chain.from_iterable(chunk)
-        yield np.fromiter(flat, dtype=np.int64, count=len(chunk) * t).reshape(len(chunk), t)
+    total = math.comb(n, t)
+    for lo in range(0, total, rows):
+        m = min(rows, total - lo)
+        flat = itertools.chain.from_iterable(itertools.islice(it, m))
+        yield np.fromiter(flat, dtype=np.int64, count=m * t).reshape(m, t)
 
 
-def _syndrome_sketch(C: LinearCode) -> tuple[np.ndarray, np.ndarray]:
-    """Per-unit syndrome rows and the weights that pack them into int64 keys.
+def _syndrome_sketch(C: LinearCode) -> np.ndarray:
+    """Per-unit syndrome rows, as GF(p) digits that pack into int64 keys.
 
     Row [u-1, i] holds the GF(p) digits of u * s_i, for s_i column i of a
     parity check matrix, so a syndrome's key is a sum of rows mod p in every
@@ -538,16 +513,18 @@ def _syndrome_sketch(C: LinearCode) -> tuple[np.ndarray, np.ndarray]:
         S = _gfmat.matmul(proj, S, spec)
     units = np.arange(1, spec.q, dtype=np.int64)
     scaled = spec.mul_arr(units[:, None, None], S.T[None, :, :])  # (q-1, n, rows of S)
-    digits = spec.digits_arr(scaled).reshape(spec.q - 1, C.n, -1)
-    return digits, p ** np.arange(digits.shape[2], dtype=np.int64)
+    return spec.digits_arr(scaled).reshape(spec.q - 1, C.n, -1)
 
 
-def _half_keys(rows, sup, grids, p, pow_vec, negate):
-    """int64 keys of the syndromes of every (support, unit grid) pair, support-major."""
+def _half_keys(rows, sup, grids, p, negate):
+    """int64 keys of the syndromes of every (support, unit grid) pair, support-major.
+
+    A key packs the GF(p) digits base p, lowest first, by Horner's rule in place.
+    """
     dtype = np.min_scalar_type(sup.shape[1] * (p - 1)).type  # holds the unreduced sums
     rows = rows.astype(dtype, copy=False)
     step = max(1, (1 << 22) // (len(grids) * (rows.shape[2] + 1)))
-    out = []
+    out = np.zeros((len(sup), len(grids)), dtype=np.int64)
     for lo in range(0, len(sup), step):
         part = sup[lo : lo + step]
         acc = np.zeros((len(part), len(grids), rows.shape[2]), dtype=dtype)
@@ -556,8 +533,11 @@ def _half_keys(rows, sup, grids, p, pow_vec, negate):
         acc %= dtype(p)
         if negate:
             acc = (dtype(p) - acc) % dtype(p)
-        out.append((acc @ pow_vec).reshape(-1))
-    return np.concatenate(out)
+        keys = out[lo : lo + step]
+        for d in range(rows.shape[2] - 1, -1, -1):
+            keys *= p
+            keys += acc[:, :, d]
+    return out.reshape(-1)
 
 
 def syndrome_split_search(
@@ -579,7 +559,7 @@ def syndrome_split_search(
     spec = C.spec
     budget = budget or SearchBudget()
     n, p, units = C.n, spec.p, range(spec.q - 1)  # unit u is stored as u - 1
-    rows = pow_vec = None
+    rows = None
     for w in range(1, min(w_max, n) + 1):
         a, b = (w + 1) // 2, w // 2
         a_count = math.comb(n, a) * (spec.q - 1) ** (a - 1)
@@ -591,10 +571,10 @@ def syndrome_split_search(
         if a_count + b_count > budget.steps or table_bytes > _SPLIT_TABLE_BYTES:
             return w - 1, None
         if rows is None:
-            rows, pow_vec = _syndrome_sketch(C)
+            rows = _syndrome_sketch(C)
         bgrids = np.array(list(itertools.product(units, repeat=b)), dtype=np.int64)
         bsup = np.concatenate(list(_combination_chunks(n, b, 1 << 16)))
-        bkeys = _half_keys(rows, bsup, bgrids, p, pow_vec, negate=True)
+        bkeys = _half_keys(rows, bsup, bgrids, p, negate=True)
         # stable, so within a run of equal keys the high halves start in
         # increasing position and the run's last entry starts latest
         order = np.argsort(bkeys, kind="stable")
@@ -602,7 +582,7 @@ def syndrome_split_search(
         bfirst = (bsup[:, 0] if b else np.full(len(bsup), n))[order // len(bgrids)]
         agrids = np.array(list(itertools.product([0], *[units] * (a - 1))), dtype=np.int64)
         for asup in _combination_chunks(n, a, max(1, (1 << 18) // len(agrids))):
-            akeys = _half_keys(rows, asup, agrids, p, pow_vec, negate=False)
+            akeys = _half_keys(rows, asup, agrids, p, negate=False)
             aorder = np.argsort(akeys)  # sorted needles keep the searches cache-local
             lo = np.searchsorted(bkeys, akeys[aorder])
             hi = np.searchsorted(bkeys, akeys[aorder], side="right")
@@ -621,19 +601,37 @@ def syndrome_split_search(
     return w_max, None
 
 
-def min_distance(C: LinearCode, budget: SearchBudget | None = None) -> DistanceResult:
-    """Bounded minimum-distance computation.
+def min_distance(
+    C: LinearCode,
+    budget: SearchBudget | None = None,
+    *,
+    lower: int | None = None,
+    target: int | None = None,
+) -> DistanceResult:
+    """Certified bracket on d(C): the one distance planner.
 
-    Exact when the code has at most _ENUMERATION_CAP codewords, or when the
-    support search finds a word at the first non-excluded level.  Otherwise a
-    bracket from the exclusion level.
+    1. A code with at most _ENUMERATION_CAP codewords is enumerated, exactly.
+    2. Otherwise the lower end is `lower`, a bound the caller has proved, or
+       else one more than the weight the support search excluded, searching
+       up to `target` (or its level cap); a word it finds closes the bracket.
+    3. When `target` is given and the lower end is at most `target`, the
+       seeded information-set search looks for a weight-`target` codeword for
+       the upper end.  Without one the upper end is n.
+
+    The result's `how` is "exhaustive enumeration", "proved bound", "low-weight
+    support search" (a word closed the bracket) or "support exclusion".
     """
     if C.k == 0:
         raise ValueError("minimum distance of the zero code is undefined")
     if C.spec.q**C.k <= _ENUMERATION_CAP:
         return exhaustive_min_weight(C)
-    excluded, word = low_weight_search(C, _SUPPORT_LEVEL_CAP[C.spec.q == 2], budget)
-    if word is not None:
-        w = int(np.count_nonzero(word))
-        return DistanceResult(w, w, witness=word)
-    return DistanceResult(excluded + 1, C.n)
+    budget = budget or SearchBudget()
+    how = "proved bound"
+    if lower is None:
+        excluded, word = low_weight_search(C, target or C.n, budget)
+        lower = excluded + 1
+        if word is not None:
+            return DistanceResult(lower, lower, word, how="low-weight support search")
+        how = "support exclusion"
+    wit = _isd_witness(C, target, budget) if target is not None and lower <= target else None
+    return DistanceResult(lower, C.n if wit is None else target, wit, how=how)

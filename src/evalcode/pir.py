@@ -60,7 +60,6 @@ from .linear_code import (
     DistanceResult,
     LinearCode,
     SearchBudget,
-    certify_distance,
     cyclic_min_weight_upto,
     dual,
     exhaustive_min_weight,
@@ -667,12 +666,12 @@ _CYC48_ORDER = [
     ("shaded", 35), ("bold", 16),
 ]
 
-# How each bold row certifies d(D^perp).  "exhaustive" enumerates the code and
-# "window" runs the fixed-window search that cyclicity allows; both are exact.
-# The other routes differ only in where the lower bound comes from: the
-# support search ("search"), an uncapped syndrome split search ("split"), or
-# the consecutive-roots bound (the default, "bch"); the witness search of
-# `certify_distance` supplies the upper end.
+# How each bold row certifies d(D^perp).  Every route ends in `min_distance`,
+# which enumerates the small codes of rows 14-16 ("exhaustive") and otherwise
+# takes its upper end from a witness search.  The routes differ in where the
+# lower bound comes from: the support search ("search"), an uncapped syndrome
+# split search ("split"), the consecutive-roots bound (the default, "bch"), or
+# the fixed-window search that cyclicity allows ("window"), which is exact.
 _CYC48_STRATEGY = {
     1: "search", 3: "search", 4: "split", 13: "window",
     14: "exhaustive", 15: "exhaustive", 16: "exhaustive",
@@ -684,19 +683,17 @@ def _certify_distance(
     *, family=None, qprime=None, delta=None,
 ) -> DistanceResult:
     """Certified bracket on d(Dd) aimed at the stored value `target`."""
-    if strategy == "exhaustive":
-        return exhaustive_min_weight(Dd)
     if strategy == "window":
         return cyclic_min_weight_upto(Dd, target)
     lower = None
     if strategy == "split":
         excluded, word = syndrome_split_search(Dd, target - 1, budget)
         if word is not None:
-            return DistanceResult(excluded + 1, int(np.count_nonzero(word)), word)
+            return DistanceResult(excluded + 1, excluded + 1, word, how="syndrome split search")
         lower = excluded + 1
-    elif strategy != "search":
+    elif strategy not in ("search", "exhaustive"):
         lower = dual_bch_bound(family, qprime, delta)
-    return certify_distance(Dd, target, budget, lower=lower)
+    return min_distance(Dd, budget, lower=lower, target=target)
 
 
 def _table_cyclic48() -> list[TableRow]:
@@ -768,7 +765,6 @@ _TABLE_IV_ROWS = [
 
 
 def _table_IV() -> list[TableRow]:
-    budget = SearchBudget()
     fam = JAffineFamily(field_from_order(256), (256,), (1,))
     dC = DefiningSet(fam, [(0,), (85,), (170,)])
     assert is_coset_closed(fam, 2, dC)
@@ -783,7 +779,7 @@ def _table_IV() -> list[TableRow]:
         CD = schur(C, D)
         assert CD.k == len(schur_subfield(fam, 2, dC, dD))
         bound = dual_bch_bound(fam, 2, dD)
-        res = certify_distance(dual(D), printed["d_Dperp"], budget, lower=bound)
+        res = min_distance(dual(D), lower=bound, target=printed["d_Dperp"])
         tD = transitivity_premises(fam, dD, 2)
         scheme = PirScheme.of(C, D, CD, res.lower - 1, combine_transitivity(tC, tD))
         printed.update(k_C=3, d_C=85, rate=printed["k_CDperp"])
@@ -809,7 +805,6 @@ _BERMAN_ROWS = [
 
 
 def _table_berman49() -> list[TableRow]:
-    budget = SearchBudget()
     fam = JAffineFamily(field_from_order(8), (8, 8), (1, 2))
     dC = DefiningSet(fam, [(0, 0)])
     C = subfield_code(fam, 2, dC)
@@ -819,7 +814,7 @@ def _table_berman49() -> list[TableRow]:
         printed = {"k_C": 1, "storage_rate": 1, **dict(zip(_BERMAN_COLUMNS, values))}
         dD = closure(fam, 2, DefiningSet(fam, seeds))
         D = subfield_code(fam, 2, dD)
-        res = certify_distance(dual(D), printed["d_Dperp"], budget)
+        res = min_distance(dual(D), target=printed["d_Dperp"])
         CD = schur(C, D)
         assert CD == D  # the storage code is the repetition code
         tD = verify_transitive(D, family=fam)
@@ -845,7 +840,6 @@ _RM_CMP_ROWS = [
 
 
 def _table_rm_comparison() -> list[TableRow]:
-    budget = SearchBudget()
     rows = []
     for r, style, values, corrections in _RM_CMP_ROWS:
         if style == "shaded":
@@ -855,7 +849,7 @@ def _table_rm_comparison() -> list[TableRow]:
             C = evaluate(fam, dC)
             D = evaluate(fam, dD)
             d_exact = footprint_distance(fam, delta_dual(fam, dD))
-            res = DistanceResult(d_exact, d_exact)
+            res = DistanceResult(d_exact, d_exact, how="footprint distance")
             tD = transitivity_premises(fam, dD)
         else:
             fam = JAffineFamily(field_from_order(2**r), (2**r, 2), ())
@@ -865,7 +859,7 @@ def _table_rm_comparison() -> list[TableRow]:
             D = subfield_code(fam, 2, dD)
             assert D.k <= 4 * r + 2
             bound, _ = hyperbolic_dual_certificate(fam, 2, dD, 8)
-            res = certify_distance(dual(D), 8, budget, lower=bound)
+            res = min_distance(dual(D), lower=bound, target=8)
             tD = verify_transitive(D, family=fam)
         CD = schur(C, D)
         assert CD == D  # degree-0 storage: the product adds nothing

@@ -1,18 +1,20 @@
-"""The names the benchmark binds to must exist in the library.
+"""The names the benchmark binds to must exist in the library, and behave.
 
 ``benchmarks/spans.py`` wraps the functions listed in its ``TRACED`` table by
 name, and ``benchmarks/workloads.py`` reads a few private names of ``csst``
-and ``pir``.  A rename that misses them would otherwise fail only in a
-benchmark run.
+and ``pir``.  A rename that misses them, or a change to what they return,
+would otherwise fail only in a benchmark run.
 """
 
 import importlib.util
+import sys
 from pathlib import Path
 
 from evalcode import _gfmat, cartesian, csst, cyclotomic, linear_code, pir
 from evalcode.galois import FieldSpec
 
-SPANS = Path(__file__).resolve().parents[1] / "benchmarks" / "spans.py"
+BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
+SPANS = BENCHMARKS / "spans.py"
 
 # TRACED's module keys; the ``_gfmat`` layer is reported as ``gfmat``
 OWNERS = {
@@ -48,3 +50,17 @@ def test_private_names_the_workloads_read():
     assert isinstance(csst._VII_ROWS, list) and isinstance(csst._JCSST_ROWS, list)
     assert isinstance(pir._CYC48_STRATEGY, dict) and isinstance(pir._CYC48_BOLD_REPS, dict)
     assert callable(pir._certify_distance)
+
+
+def test_uncapped_cyclic48_ops_pass_their_checks(monkeypatch):
+    # b1 (search), b2 (bch) and b15 (exhaustive) go through pir._certify_distance
+    monkeypatch.syspath_prepend(str(BENCHMARKS))  # workloads.py imports gfref
+    path = BENCHMARKS / "workloads.py"
+    spec = importlib.util.spec_from_file_location("evalcode_bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # dataclasses look it up
+    spec.loader.exec_module(workloads)
+    ops = [op for op in workloads.Certify(0).ops if op.label.endswith(", exact)")]
+    assert [op.label.split()[1] for op in ops] == ["b1", "b2", "b15"]
+    for op in ops:
+        assert op.check(op.run()) == [], op.label

@@ -224,17 +224,15 @@ def test_dual_of_subfield_product_differs_from_product_of_duals():
 def test_bch_bound_cyclic_run():
     f = fam(256, [256], J=[1])
     d = consecutive_union(f, 2, 1)  # contains 0,1,2 and 4: run of length 3
-    assert dual_bch_bound(f, 2, d, use_multipliers=False) == 4
-    assert dual_bch_bound(f, 2, d) >= 4
+    assert dual_bch_bound(f, 2, d) == 4
+    assert linear_code.min_distance(linear_code.dual(subfield_code(f, 2, d))).lower == 4
 
 
 def test_bch_bound_multiplier_helps():
     f = fam(49, [49], J=[1])
     d = DefiningSet(f, [(0,), (24,), (25,), (31,)])
-    plain = dual_bch_bound(f, 7, d, use_multipliers=False)
-    boosted = dual_bch_bound(f, 7, d)
-    assert plain == 3  # run {24, 25}
-    assert boosted >= plain
+    assert dual_bch_bound(f, 7, d) == 3  # run {24, 25}; no multiplier lengthens it
+    assert linear_code.min_distance(linear_code.dual(subfield_code(f, 7, d))).lower == 3
 
 
 def test_bch_bound_affine_line_matches_truth():

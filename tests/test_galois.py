@@ -136,7 +136,7 @@ def test_vectorized_ops_match_scalar():
         add = spec.add_arr(a, b)
         mul = spec.mul_arr(a, b)
         for i in range(0, 200, 17):
-            assert add[i] == spec.add(int(a[i]), int(b[i]))
+            assert add[i] == _ref_add(spec, int(a[i]), int(b[i]))
             assert mul[i] == spec.mul(int(a[i]), int(b[i]))
         nzb = np.where(b == 0, 1, b)
         dv = spec.mul_arr(a, spec.inv_arr(nzb))
@@ -144,7 +144,7 @@ def test_vectorized_ops_match_scalar():
         e = 5
         pw = spec.pow_arr(a, e)
         for i in range(0, 200, 29):
-            assert pw[i] == spec.pow(int(a[i]), e)
+            assert pw[i] == spec._raw_pow(int(a[i]), e)  # polynomial products, no tables
 
 
 def _ref_add(spec, x, y, sign=1):

@@ -27,7 +27,6 @@ from evalcode.linear_code import (
     LinearCode,
     SearchBudget,
     _verify_word,
-    certify_distance,
     contains,
     cyclic_min_weight_upto,
     dual,
@@ -359,26 +358,66 @@ def test_find_weight_witness_hamming():
     assert find_weight_witness(C, 2) is None
 
 
-def test_certify_distance_with_a_proved_bound():
+def test_min_distance_with_a_proved_bound(monkeypatch):
+    # no enumeration, so the bracket comes from the bound or the search
+    monkeypatch.setattr(linear_code, "_ENUMERATION_CAP", 1)
     rm = evaluate(full_affine_family(2, 4), delta_rm(2, 4, 1))  # [16,5,8]
-    res = certify_distance(rm, 8, lower=8)
-    assert res.exact and res.lower == 8
+    res = min_distance(rm, lower=8, target=8)
+    assert res.exact and res.lower == 8 and res.how == "proved bound"
     assert int(np.count_nonzero(res.witness)) == 8 and res.witness in rm
     # weight 8 lies past the binary support search's level cap of 6
-    unproved = certify_distance(rm, 8)
-    assert (unproved.lower, unproved.upper) == (7, 8)
+    unproved = min_distance(rm, target=8)
+    assert (unproved.lower, unproved.upper, unproved.how) == (7, 8, "support exclusion")
 
 
-def test_certify_distance_support_search_is_exact():
+def test_min_distance_support_search_is_exact(monkeypatch):
+    monkeypatch.setattr(linear_code, "_ENUMERATION_CAP", 1)
     C = hamming74()
-    res = certify_distance(C, 3)
+    res = min_distance(C, target=3)
     assert res.exact and res.lower == 3  # weights up to 2 excluded
+    assert res.how == "low-weight support search"
     assert int(np.count_nonzero(res.witness)) == 3 and res.witness in C
 
 
-def test_certify_distance_below_the_distance_is_a_bracket():
-    res = certify_distance(hamming74(), 2)
+def test_min_distance_below_the_distance_is_a_bracket(monkeypatch):
+    monkeypatch.setattr(linear_code, "_ENUMERATION_CAP", 1)
+    res = min_distance(hamming74(), target=2)
     assert (res.lower, res.upper, res.exact) == (3, 7, False)
+
+
+PLANNER_FIELDS = [(2, 1), (3, 1), (2, 2), (7, 1)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_min_distance_planner_agrees_with_scalar_reference(data):
+    # every route of the planner against a word-by-word brute force
+    spec = make_field(*data.draw(st.sampled_from(PLANNER_FIELDS), label="field"))
+    n = data.draw(st.integers(2, 9 if spec.q <= 3 else 6), label="n")
+    k = data.draw(st.integers(1, min(n, 4)), label="k")
+    entries = st.lists(st.integers(0, spec.q - 1), min_size=n * k, max_size=n * k)
+    C = LinearCode(spec, np.array(data.draw(entries), dtype=np.int64).reshape(k, n))
+    if C.k == 0:
+        return
+    d = brute_min_weight(C)
+    lower = data.draw(st.sampled_from([None, d - 1, d]), label="lower")
+    target = data.draw(st.sampled_from([None, d - 1, d, d + 1]), label="target")
+    cap = data.draw(st.sampled_from([1, 1 << 26]), label="cap")
+    with mock.patch.object(linear_code, "_ENUMERATION_CAP", cap):
+        res = min_distance(C, lower=lower, target=target)
+    assert res.lower <= d <= res.upper
+    if cap > 1:
+        assert res.how == "exhaustive enumeration" and res.exact
+    elif lower is not None:
+        assert res.how == "proved bound" and res.lower == lower
+    elif res.how == "low-weight support search":
+        assert res.exact and res.witness is not None  # the word closed the bracket
+    else:
+        assert res.how == "support exclusion"
+    if res.witness is not None:
+        assert int(np.count_nonzero(res.witness)) == res.upper and res.witness in C
+    else:
+        assert res.upper == C.n
 
 
 def test_weight5_search_gf7():
@@ -464,9 +503,9 @@ def test_search_budget_env(monkeypatch):
 
 def test_distance_result_validation():
     with pytest.raises(ValueError):
-        DistanceResult(5, 3)
-    r = DistanceResult(2, 4)
-    assert not r.exact
+        DistanceResult(5, 3, how="proved bound")
+    r = DistanceResult(2, 4, how="proved bound")
+    assert not r.exact and r.how == "proved bound"
 
 
 SEARCH_FIELDS = [(2, 1), (3, 1), (2, 2), (7, 1), (2, 3), (3, 2)]
@@ -521,6 +560,22 @@ def test_syndrome_split_memory_is_bounded():
             tracemalloc.stop()
     assert (excluded, word) == (5, None)
     assert peak < 20 << 20
+
+
+@pytest.mark.parametrize("p, n, k", [(2, 100, 50), (7, 40, 20)])
+def test_syndrome_split_low_half_memory(p, n, k):
+    # level 5's low half holds up to 2^18 3-supports and their keys at once;
+    # a chunk built as a list of tuples, with keys from an int64 copy of the
+    # digit block, would take about 50 MB
+    C = LinearCode(make_field(p, 1), np.random.default_rng(0).integers(0, p, size=(k, n)))
+    dual(C)  # cached before tracing starts
+    tracemalloc.start()
+    try:
+        assert syndrome_split_search(C, 5) == (5, None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 << 20
 
 
 def test_syndrome_split_extension_field():
