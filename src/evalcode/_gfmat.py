@@ -4,7 +4,11 @@ Matrices are numpy int64 arrays of element indices (see galois.py).  Row
 reduction dispatches to a Python-int bitset path for GF(2) (rows packed into
 arbitrary-precision ints, elimination by XOR) and a vectorized table path for
 every other field.  Everything returns fully reduced row-echelon forms with
-pivot columns in increasing order, so RREF equality is code equality.
+pivot columns in increasing order, so RREF equality is code equality.  The
+table path's pivot update takes its row multiples as row gathers
+(FieldSpec.scale_arr with a vector of multipliers).  nullspace reads the dual
+off a basis that is the identity on an information set, and makes its second
+elimination on the side with fewer rows.
 
 Schur products (schur_rows) are deduplicated exactly on byte keys, one per
 product row: GF(2) rows are bit-packed and multiplied by a bytewise AND, and
@@ -86,7 +90,7 @@ def _rref_generic(M: np.ndarray, spec: FieldSpec) -> tuple[np.ndarray, list[int]
         other[r] = 0
         hit = np.nonzero(other)[0]
         if hit.size:
-            A[hit] = spec.add_arr(A[hit], spec.mul_arr(other[hit][:, None], A[r][None, :]))
+            A[hit] = spec.add_arr(A[hit], spec.scale_arr(other[hit], A[r]))
         pivots.append(c)
         r += 1
     return A[: len(pivots)], pivots
@@ -119,17 +123,35 @@ def in_row_space(R: np.ndarray, pivots: list[int], v: np.ndarray, spec: FieldSpe
     return not np.any(reduce_vector(R, pivots, v, spec))
 
 
+def _dual_basis(S: np.ndarray, pivots: list[int], spec: FieldSpec) -> np.ndarray:
+    """Basis of {v : S @ v = 0} for S with S[:, pivots] the identity: the row
+    for free column f is e_f - sum_i S[i, f] e_{pivots[i]}, in increasing f."""
+    free = np.delete(np.arange(S.shape[1]), pivots)
+    out = np.zeros((free.size, S.shape[1]), dtype=np.int64)
+    out[np.arange(free.size), free] = 1
+    out[:, pivots] = spec.neg_arr(S[:, free].T)
+    return out
+
+
 def nullspace(M: np.ndarray, spec: FieldSpec) -> np.ndarray:
-    """RREF basis of {v : M @ v = 0} (the dual code of the row space)."""
+    """RREF basis of {v : M @ v = 0} (the dual code of the row space).
+
+    A basis S of the row space, of rank k, with S[:, P] the identity gives a
+    dual basis: the identity off P and -S^T on P.  The second elimination
+    takes the side with fewer rows.  If k <= n - k it reduces R = rref(M) with
+    its columns reversed: each row of S is then zero after its pivot, so the
+    dual row of a column f off P is nonzero only at f and at pivots after f,
+    and the dual basis is already in RREF.  Otherwise it reduces the n - k
+    dual rows built from R.
+    """
     M = np.asarray(M, dtype=np.int64)
     n = M.shape[1]
     R, pivots = rref(M, spec)
-    free = [c for c in range(n) if c not in set(pivots)]
-    out = np.zeros((len(free), n), dtype=np.int64)
-    out[np.arange(len(free)), free] = 1
-    out[:, pivots] = spec.neg_arr(R[:, free].T)
-    # rows are already echelon-ordered by free column; reduce for canonical form
-    return rref(out, spec)[0]
+    k = len(pivots)
+    if k <= n - k:
+        Rrev, rpiv = rref(R[:, ::-1], spec)
+        return _dual_basis(Rrev[:, ::-1], [n - 1 - c for c in rpiv], spec)
+    return rref(_dual_basis(R, pivots, spec), spec)[0]
 
 
 def matmul(A: np.ndarray, B: np.ndarray, spec: FieldSpec) -> np.ndarray:
@@ -144,7 +166,7 @@ def matmul(A: np.ndarray, B: np.ndarray, spec: FieldSpec) -> np.ndarray:
     for t in range(A.shape[1]):
         col = A[:, t]
         if np.any(col):
-            out = spec.add_arr(out, spec.mul_arr(col[:, None], B[t][None, :]))
+            out = spec.add_arr(out, spec.scale_arr(col, B[t]))
     return out
 
 

@@ -123,6 +123,15 @@ class JAffineFamily:
                 out.append(0 if ej == 0 else (ej - 1) % (Nj - 1) + 1)
         return tuple(out)
 
+    def bar_reduce_arr(self, e: np.ndarray) -> np.ndarray:
+        """bar_reduce on each row of an int array of exponent vectors."""
+        e = np.asarray(e, dtype=np.int64)
+        if np.any(e < 0):
+            raise ValueError("negative exponent")
+        mod = np.array(self.N, dtype=np.int64) - 1
+        units = np.array([j in self.J for j in range(1, self.m + 1)])
+        return np.where(units | (e == 0), e % mod, (e - 1) % mod + 1)
+
     def monomial_row(self, e: Sequence[int]) -> np.ndarray:
         coords = self.coords()
         row = np.ones(self.n_points, dtype=np.int64)
@@ -223,12 +232,15 @@ def minkowski_schur(family: JAffineFamily, d1: DefiningSet, d2: DefiningSet) -> 
     """Reduced Minkowski sum; the exponent set of the Schur product code."""
     if d1.family != family or d2.family != family:
         raise ValueError("defining sets belong to a different family")
-    out = {
-        family.bar_reduce([a + b for a, b in zip(e1, e2)])
-        for e1 in d1
-        for e2 in d2
-    }
-    return DefiningSet(family, out)
+    a = np.array(d1.elems, dtype=np.int64).reshape(-1, family.m)
+    if d1 == d2:  # a square sums each unordered pair once
+        i, j = np.triu_indices(len(a))
+        sums = a[i] + a[j]
+    else:
+        b = np.array(d2.elems, dtype=np.int64).reshape(-1, family.m)
+        sums = (a[:, None, :] + b[None, :, :]).reshape(-1, family.m)
+    # dedup before DefiningSet, which checks each exponent it is given
+    return DefiningSet(family, set(map(tuple, family.bar_reduce_arr(sums).tolist())))
 
 
 def nonzero_pairing_partners(family: JAffineFamily, e: Sequence[int]) -> list[set[int]]:

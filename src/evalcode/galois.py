@@ -282,11 +282,14 @@ class FieldSpec:
             return self._mul[a, b]
         return self._mul_log(a, b)
 
-    def scale_arr(self, c: int, a: np.ndarray) -> np.ndarray:
-        """c * a for a scalar c and index array a."""
+    def scale_arr(self, c, a: np.ndarray) -> np.ndarray:
+        """c * a for a scalar c and index array a.  For a 1-D c and a row a,
+        the rows c[i] * a: row gathers from the table, not a 2-D broadcast."""
         if self._mul is not None:
-            return self._mul[c][a]
-        return self._mul_log(c, a)
+            rows = self._mul[c]
+            return rows[a] if rows.ndim == 1 else rows[:, a]
+        c = np.asarray(c)
+        return self._mul_log(c[:, None] if c.ndim else c, a)
 
     def inv_arr(self, a: np.ndarray) -> np.ndarray:
         if np.any(a == 0):

@@ -88,7 +88,7 @@ class LinearCode:
         self.n = rows.shape[1]
         if _reduced:
             self.gen = rows
-            self.pivots = [int(np.argmax(r != 0)) for r in rows]
+            self.pivots = np.argmax(rows != 0, axis=1).tolist() if self.n else []
         else:
             self.gen, self.pivots = _gfmat.rref(rows, spec)
         self._dual_cache = None

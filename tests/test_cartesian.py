@@ -28,6 +28,7 @@ from evalcode.cartesian import (
     wrm_nesting,
 )
 from evalcode.galois import make_field
+from test_acceptance import _ORACLE_POOL
 
 
 def fam(q, N, J=()):
@@ -90,6 +91,16 @@ def test_bar_reduce_rules():
     h = fam(16, [2], J=[])
     assert h.bar_reduce([5]) == (1,)
     assert h.bar_reduce([0]) == (0,)
+
+
+def test_bar_reduce_arr_matches_scalar_rule():
+    # every exponent up to twice the box: the box itself and all pair sums
+    for f in (fam(*t) for t in _ORACLE_POOL):
+        exps = list(itertools.product(*(range(2 * t + 1) for t in f.T)))
+        got = f.bar_reduce_arr(np.array(exps)).tolist()
+        assert got == [list(f.bar_reduce(e)) for e in exps], f
+    with pytest.raises(ValueError):
+        fam(16, [16]).bar_reduce_arr(np.array([[-1]]))
 
 
 def test_defining_set_validation():

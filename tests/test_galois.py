@@ -194,6 +194,7 @@ def test_vectorized_ops_match_scalar_on_full_grid(p, r):
     products = products.reshape(spec.q, spec.q)
     for c in range(spec.q):
         assert np.array_equal(spec.scale_arr(c, idx), products[c])
+    assert np.array_equal(spec.scale_arr(idx, idx), products)  # the rows c * idx at once
 
 
 @pytest.mark.parametrize("p,r", FIELDS + [(251, 1), (3, 7), (1031, 1), (65537, 1)])
@@ -214,6 +215,8 @@ def test_fields_above_op_table_limit_use_digit_and_log_paths(p, r):
     b[:50] = 0  # the log path masks zeros separately
     _assert_ops_match_reference(spec, a, b)
     assert spec.scale_arr(int(a[0]), b).tolist() == [spec.mul(int(a[0]), y) for y in b.tolist()]
+    rows = spec.scale_arr(b[40:60], a)  # b[40:50] are zeros
+    assert rows.tolist() == [[spec.mul(x, y) for y in a.tolist()] for x in b[40:60].tolist()]
 
 
 @pytest.mark.parametrize("p,r", [(3, 5), (2, 9)])

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evalcode import csst, linear_code
+from evalcode import _gfmat, csst, linear_code
 from evalcode._gfmat import rref, schur_rows
 from evalcode.cartesian import (
     JAffineFamily,
@@ -100,6 +100,73 @@ def test_rref_matches_scalar_gauss_jordan(p, r):
         R0, pivots0 = _rref_scalar(M, spec)
         assert pivots == pivots0
         assert np.array_equal(R, R0)
+
+
+def _nullspace_scalar(M, spec):
+    """The dual rows e_f - sum_i R[i, f] e_{pivot i}, one per free column f,
+    in RREF by _rref_scalar; and the rank of M."""
+    n = M.shape[1]
+    R, pivots = _rref_scalar(M, spec)
+    basis = np.zeros((n - len(pivots), n), dtype=np.int64)
+    for row, f in zip(basis, sorted(set(range(n)) - set(pivots))):
+        row[f] = 1
+        for i, c in enumerate(pivots):
+            row[c] = spec.neg(int(R[i, f]))
+    return _rref_scalar(basis, spec)[0], len(pivots)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_nullspace_agrees_with_scalar_gauss_jordan(data):
+    # wide and tall M with rank on both sides of n/2, zero and repeated rows
+    for p, r in [(2, 1), (3, 1), (2, 2), (7, 1), (2, 3), (3, 2), (7, 2)]:
+        spec = make_field(p, r)
+        n = data.draw(st.integers(1, 14), label="n")
+        m = data.draw(st.integers(0, 14), label="m")
+        rank = data.draw(st.integers(0, min(m, n)), label="rank")
+
+        def matrix(rows, cols, label):
+            entries = st.lists(st.integers(0, spec.q - 1), min_size=rows * cols, max_size=rows * cols)
+            return np.array(data.draw(entries, label=label), dtype=np.int64).reshape(rows, cols)
+
+        M = _gfmat.matmul(matrix(m, rank, "A"), matrix(rank, n, "B"), spec)
+        for i in range(m):
+            kind = data.draw(st.sampled_from(["keep", "zero", "repeat"]), label="row")
+            if kind == "zero":
+                M[i] = 0
+            elif kind == "repeat" and i:
+                M[i] = M[data.draw(st.integers(0, i - 1), label="source")]
+        N = _gfmat.nullspace(M, spec)
+        expect, k = _nullspace_scalar(M, spec)
+        assert N.shape == (n - k, n)
+        assert np.array_equal(rref(N, spec)[0], N)
+        for u in M.tolist():
+            for v in N.tolist():
+                acc = 0
+                for x, y in zip(u, v):
+                    acc = spec.add(acc, spec.mul(x, y))
+                assert acc == 0
+        assert np.array_equal(N, expect), (spec.q, M)
+
+
+def test_nullspace_second_elimination_takes_the_smaller_side(monkeypatch):
+    spec = make_field(7, 2)
+    rng = np.random.default_rng(49)
+    codes = [LinearCode(spec, rng.integers(0, spec.q, (k, 343))) for k in (1, 337)]
+    assert [C.k for C in codes] == [1, 337]
+    rows_in = []
+
+    def recording_rref(M, spec):
+        rows_in.append(np.asarray(M).shape[0])
+        return rref(M, spec)
+
+    monkeypatch.setattr(_gfmat, "rref", recording_rref)
+    for C in codes:
+        rows_in.clear()
+        D = dual(C)
+        assert D.k == C.n - C.k
+        assert not np.any(_gfmat.matmul(C.gen, D.gen.T, spec))
+        assert len(rows_in) == 2 and rows_in[1] <= min(C.k, C.n - C.k), rows_in
 
 
 def test_dual_involution_and_dims():
