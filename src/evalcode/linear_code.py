@@ -31,6 +31,7 @@ _TABLE_ENTRIES = 1 << 20  # most entries in the enumeration's table of words
 _SUPPORT_LEVEL_CAP = {True: 6, False: 5}  # exhaustive support search depth, keyed by q == 2
 _ISD_SEED, _ISD_ITERS = 7, 400  # information-set search: permutation seed, iterations
 _SPLIT_TABLE_BYTES = 1 << 30  # most bytes of one split-search level's high half-table
+_WINDOW_CELLS = 1 << 20  # most word entries of one window-search block
 
 
 def _steps_from_env() -> int:
@@ -429,9 +430,10 @@ def _isd_witness(C, w, budget):
 
 
 def is_cyclic(C: LinearCode) -> bool:
-    """True iff the code is invariant under the cyclic coordinate shift."""
+    """True iff the code is invariant under the cyclic coordinate shift: the
+    shifted generator rows are all orthogonal to the dual's."""
     shifted = np.roll(C.gen, 1, axis=1)
-    return all(row in C for row in shifted)
+    return not np.any(_gfmat.matmul(shifted, dual(C).gen.T, C.spec))
 
 
 def cyclic_min_weight_upto(C: LinearCode, w_cap: int) -> DistanceResult:
@@ -441,15 +443,17 @@ def cyclic_min_weight_upto(C: LinearCode, w_cap: int) -> DistanceResult:
     most floor(w*k/n) nonzero entries inside a fixed window of k consecutive
     information positions, so enumerating all such sparse messages certifies:
     if the minimum found is <= w_cap it is the exact distance, otherwise the
-    distance exceeds w_cap.  Prime fields only.  The window products are
-    float64, exact for every field the library builds.
+    distance exceeds w_cap.  Prime fields only.  Scalar multiples have equal
+    weight, so a message's first nonzero coefficient is fixed to 1: a
+    t-support has (p-1)^(t-1) coefficient grids.  Words are sums of small
+    integers reduced once mod p, exact in every prime field.
     """
     spec = C.spec
     if spec.r != 1:
         raise FieldError("window enumeration implemented for prime fields")
     if not is_cyclic(C):
         raise ValueError("code is not cyclic; window bound does not apply")
-    n, k = C.n, C.k
+    n, k, p = C.n, C.k, spec.p
     G = None
     for off in range(n):
         colorder = [(off + t) % n for t in range(n)]
@@ -463,24 +467,50 @@ def cyclic_min_weight_upto(C: LinearCode, w_cap: int) -> DistanceResult:
         raise ValueError("no consecutive information window found")
     omega = (w_cap * k) // n
     out_cols = [c for c in range(n) if c not in set(window)]
-    Gout = G[:, out_cols].astype(np.float64)
-    units = np.arange(1, spec.p, dtype=np.float64)
+    Gout = G[:, out_cols]
     best, best_word = n + 1, None
     for t in range(1, min(omega, k) + 1):
-        grids = np.stack(np.meshgrid(*([units] * t), indexing="ij"), axis=-1).reshape(-1, t)
-        for support in itertools.combinations(range(k), t):
-            words_out = (grids @ Gout[list(support)]) % spec.p
-            wts = np.count_nonzero(words_out, axis=1) + t
+        for sup, grids, wts in _window_weights(Gout, t, p):
             i = int(np.argmin(wts))
-            if wts[i] < best:
-                best = int(wts[i])
+            if wts[i] + t < best:
+                best = int(wts[i]) + t
                 msg = np.zeros(k, dtype=np.int64)
-                msg[list(support)] = grids[i].astype(np.int64)
-                word = _gfmat.matmul(msg[None, :], G, spec)[0]
-                best_word = word
+                msg[sup[i // len(grids)]] = np.append(1, grids[i % len(grids)] + 1)
+                best_word = _gfmat.matmul(msg[None, :], G, spec)[0]
     if best <= w_cap:
         return DistanceResult(best, best, _verify_word(C, best_word, best), how="cyclic window")
     return DistanceResult(w_cap + 1, C.n, how="cyclic window")
+
+
+def _window_weights(Gout, t, p):
+    """Yield (supports, grids, weights) over all t-supports of the window.
+
+    A word's message is 1 on a support's first position and the grid's units
+    (stored as u - 1) on the others; weights[s * len(grids) + g] counts its
+    nonzero entries outside the window.  Rows of Gout and of a table of their
+    unit multiples, built from level 2 on, are summed in the narrowest dtype
+    and reduced once, in blocks of at most _WINDOW_CELLS entries.
+    """
+    k, m = Gout.shape
+    dtype = np.min_scalar_type(t * (p - 1)).type
+    lead = Gout.astype(dtype)
+    if t > 1:  # row (u-1)*k + i holds u * Gout[i] mod p
+        units = np.arange(1, p, dtype=np.int64)[:, None, None]
+        table = (units * Gout % p).astype(dtype).reshape(-1, m)
+    ngrids = (p - 1) ** (t - 1)
+    gstep = max(1, min(ngrids, _WINDOW_CELLS // max(m, 1)))
+    sstep = max(1, _WINDOW_CELLS // (gstep * max(m, 1)))
+    places = (p - 1) ** np.arange(t - 1, dtype=np.int64)
+    for sup in _combination_chunks(k, t, sstep):
+        for g0 in range(0, ngrids, gstep):
+            flat = np.arange(g0, min(g0 + gstep, ngrids), dtype=np.int64)
+            grids = flat[:, None] // places % (p - 1)
+            acc = np.zeros((len(sup), len(grids), m), dtype=dtype)
+            acc += lead[sup[:, 0], None, :]
+            for j in range(t - 1):
+                acc += table[grids[None, :, j] * k + sup[:, None, j + 1]]
+            acc %= dtype(p)
+            yield sup, grids, np.count_nonzero(acc, axis=2).reshape(-1)
 
 
 def _combination_chunks(n: int, t: int, rows: int):
@@ -550,16 +580,20 @@ def syndrome_split_search(
     enumerated as arrays of syndrome keys (the low half with leading
     coefficient 1, the high half negated), and a sorted join finds every
     cancelling pair; a key match counts only once the word passes membership
-    in C, so each completed level is an exhaustive certificate.  Returns
-    (excluded, word) like low_weight_search.  A level whose two half-tables
-    would hold more than budget.steps entries, or whose high half-table would
-    take more than _SPLIT_TABLE_BYTES, is not attempted: the search returns
-    (w-1, None) there and never raises for lack of budget or memory.
+    in C, so each completed level is an exhaustive certificate.  When
+    is_cyclic(C) holds, only low halves whose lowest position is 0 are
+    enumerated: every word has a cyclic shift of equal weight whose support
+    holds 0, and 0 is then in its low half.  Returns (excluded, word) like
+    low_weight_search.  A level whose two half-tables would hold more than
+    budget.steps entries (counting every low half, reduced or not), or whose
+    high half-table would take more than _SPLIT_TABLE_BYTES, is not
+    attempted: the search returns (w-1, None) there and never raises for lack
+    of budget or memory.
     """
     spec = C.spec
     budget = budget or SearchBudget()
     n, p, units = C.n, spec.p, range(spec.q - 1)  # unit u is stored as u - 1
-    rows = None
+    rows = cyclic = None
     for w in range(1, min(w_max, n) + 1):
         a, b = (w + 1) // 2, w // 2
         a_count = math.comb(n, a) * (spec.q - 1) ** (a - 1)
@@ -571,7 +605,7 @@ def syndrome_split_search(
         if a_count + b_count > budget.steps or table_bytes > _SPLIT_TABLE_BYTES:
             return w - 1, None
         if rows is None:
-            rows = _syndrome_sketch(C)
+            rows, cyclic = _syndrome_sketch(C), is_cyclic(C)
         bgrids = np.array(list(itertools.product(units, repeat=b)), dtype=np.int64)
         bsup = np.concatenate(list(_combination_chunks(n, b, 1 << 16)))
         bkeys = _half_keys(rows, bsup, bgrids, p, negate=True)
@@ -581,7 +615,13 @@ def syndrome_split_search(
         bkeys = bkeys[order]
         bfirst = (bsup[:, 0] if b else np.full(len(bsup), n))[order // len(bgrids)]
         agrids = np.array(list(itertools.product([0], *[units] * (a - 1))), dtype=np.int64)
-        for asup in _combination_chunks(n, a, max(1, (1 << 18) // len(agrids))):
+        arows = max(1, (1 << 18) // len(agrids))
+        if cyclic:  # the (a-1)-subsets of 1..n-1, each with 0 prepended
+            tails = _combination_chunks(n - 1, a - 1, arows)
+            achunks = (np.insert(tail + 1, 0, 0, axis=1) for tail in tails)
+        else:
+            achunks = _combination_chunks(n, a, arows)
+        for asup in achunks:
             akeys = _half_keys(rows, asup, agrids, p, negate=False)
             aorder = np.argsort(akeys)  # sorted needles keep the searches cache-local
             lo = np.searchsorted(bkeys, akeys[aorder])

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from evalcode import _gfmat, csst, linear_code
 from evalcode._gfmat import rref, schur_rows
 from evalcode.cartesian import (
+    DefiningSet,
     JAffineFamily,
     delta_rm,
     delta_wrm,
@@ -20,7 +21,7 @@ from evalcode.cartesian import (
     field_from_order,
     full_affine_family,
 )
-from evalcode.cyclotomic import consecutive_union, subfield_code
+from evalcode.cyclotomic import closure, consecutive_union, subfield_code
 from evalcode.galois import FieldError, make_field, subgroup_roots
 from evalcode.linear_code import (
     DistanceResult,
@@ -546,6 +547,7 @@ def test_is_cyclic_and_window_enumeration():
     e = exhaustive_min_weight(C)
     assert e.lower == r.lower
     P = puncture(C, [0])
+    assert is_cyclic(P) == _shift_rows_in_code(P)
     if not is_cyclic(P):
         with pytest.raises(ValueError):
             cyclic_min_weight_upto(P, 3)
@@ -557,6 +559,151 @@ def test_cyclic_window_is_exact_over_gf65537():
     rs = LinearCode(make_field(65537, 1), [[1] * 16, roots])
     res = cyclic_min_weight_upto(rs, 15)
     assert res.exact and res.lower == 15 and res.witness in rs
+
+
+def _shift_rows_in_code(C):
+    """The definition of cyclicity: every shifted generator row is in C."""
+    return all(row in C for row in np.roll(C.gen, 1, axis=1))
+
+
+# units grids (field order, N) whose GF(q') subfield codes are cyclic of length N - 1
+_UNITS_GRIDS = {
+    2: [(8, 8), (16, 16)], 3: [(9, 9)], 4: [(16, 6), (16, 16)], 7: [(49, 9), (49, 13), (49, 17)],
+}
+_CYCLIC_WORDS = 1 << 17  # most codewords of a drawn cyclic code
+
+
+def _random_cyclic_code(data, spec):
+    """A random cyclic code over spec with at most _CYCLIC_WORDS codewords.
+
+    Either the subfield code of a closure-closed Δ on a units grid, or the
+    span of the shifts of r(x)·f(x), for a random r and f either x^m - 1 or
+    (x^n - 1)/(x^m - 1) with m | n.  Whichever of the code and its dual (also
+    cyclic) has fewer words is returned.
+    """
+    if data.draw(st.booleans(), label="closure"):
+        order, N = data.draw(st.sampled_from(_UNITS_GRIDS[spec.q]), label="grid")
+        fam = JAffineFamily(field_from_order(order), (N,), (1,))
+        seed = data.draw(st.lists(st.integers(0, N - 2), min_size=1, max_size=3), label="seed")
+        C = subfield_code(fam, spec.q, closure(fam, spec.q, DefiningSet(fam, [(e,) for e in seed])))
+    else:
+        n = data.draw(st.integers(2, 12 if spec.q <= 4 else 10), label="n")
+        m = data.draw(st.sampled_from([m for m in range(1, n) if n % m == 0]), label="m")
+        f = np.zeros(n, dtype=np.int64)
+        if data.draw(st.booleans(), label="x^m - 1"):
+            f[0], f[m] = spec.neg(1), 1
+        else:
+            f[::m] = 1
+        r = data.draw(st.lists(st.integers(0, spec.q - 1), min_size=n, max_size=n), label="r")
+        g = np.zeros(n, dtype=np.int64)
+        for i, c in enumerate(r):
+            g = spec.add_arr(g, spec.scale_arr(c, np.roll(f, i)))
+        if not np.any(g):  # r(x) = 0 or a multiple of the cofactor of f
+            g = f
+        C = LinearCode(spec, np.stack([np.roll(g, j) for j in range(n)]))
+    C = min(C, dual(C), key=lambda code: code.k or code.n + 1)
+    assert spec.q**C.k <= _CYCLIC_WORDS and C.spec is spec
+    return C
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_is_cyclic_matches_shift_membership(data):
+    for p, r in SEARCH_FIELDS:
+        spec = make_field(p, r)
+        if data.draw(st.booleans(), label="cyclic") and spec.q in _UNITS_GRIDS:
+            C = _random_cyclic_code(data, spec)
+        else:
+            n = data.draw(st.integers(2, 9), label="n")
+            k = data.draw(st.integers(0, n), label="k")
+            entries = st.lists(st.integers(0, spec.q - 1), min_size=n * k, max_size=n * k)
+            C = LinearCode(spec, np.array(data.draw(entries), dtype=np.int64).reshape(k, n))
+        assert is_cyclic(C) == _shift_rows_in_code(C)
+        assert is_cyclic(puncture(C, [0])) == _shift_rows_in_code(puncture(C, [0]))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_symmetry_reduced_searches_agree_with_exhaustive(data):
+    # the split search enumerates only low halves holding position 0 on a
+    # cyclic code, and the window search only messages led by coefficient 1
+    for q in (2, 3, 4, 7):
+        spec = field_from_order(q)
+        C = _random_cyclic_code(data, spec)
+        assert is_cyclic(C)
+        d = exhaustive_min_weight(C).lower
+        w = min(d + 1, 6)
+        for search, top in (
+            (syndrome_split_search, w),
+            (low_weight_search, min(w, linear_code._SUPPORT_LEVEL_CAP[q == 2])),
+        ):
+            excluded, word = search(C, w)
+            if d <= top:
+                assert excluded == d - 1 and int(np.count_nonzero(word)) == d and word in C
+            else:
+                assert (excluded, word) == (top, None)
+        if spec.r == 1:
+            cap = data.draw(st.integers(1, d + 1), label="cap")
+            res = cyclic_min_weight_upto(C, cap)
+            if cap >= d:
+                assert res.exact and res.lower == d
+                assert int(np.count_nonzero(res.witness)) == d and res.witness in C
+            else:
+                assert (res.lower, res.upper, res.witness) == (cap + 1, C.n, None)
+
+
+def test_split_search_reduces_only_cyclic_codes():
+    # the only weight-2 words avoid position 0, and no shift maps the code to
+    # itself: a search that enumerated only low halves holding position 0
+    # would certify weight 2 absent
+    for spec in (F2, F7):
+        C = LinearCode(spec, [[0, 1, 1, 0, 0, 0, 0], [1, 0, 0, 1, 1, 1, 1]])
+        assert not is_cyclic(C) and exhaustive_min_weight(C).lower == 2
+        excluded, word = syndrome_split_search(C, 3)
+        assert excluded == 1 and word[0] == 0 and int(np.count_nonzero(word)) == 2
+        with mock.patch.object(linear_code, "is_cyclic", lambda code: True):
+            assert syndrome_split_search(C, 2) == (2, None)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_window_kernel_enumerates_each_normalized_message_once(p):
+    # blocks of 12 entries split both the supports and the coefficient grids
+    k, m = 4, 3
+    Gout = np.random.default_rng(p).integers(0, p, size=(k, m))
+    messages = np.array(list(itertools.product(range(p), repeat=k)))
+    for t in range(1, k + 1):
+        seen = []
+        with mock.patch.object(linear_code, "_WINDOW_CELLS", 12):
+            for sup, grids, wts in linear_code._window_weights(Gout, t, p):
+                for i, (support, grid) in enumerate(itertools.product(sup, grids)):
+                    msg = np.zeros(k, dtype=np.int64)
+                    msg[support] = np.append(1, grid + 1)
+                    assert wts[i] == np.count_nonzero(msg @ Gout % p)
+                    seen.append(tuple(msg))
+        lead = messages[np.arange(len(messages)), np.argmax(messages != 0, axis=1)]
+        expected = messages[(np.count_nonzero(messages, axis=1) == t) & (lead == 1)]
+        assert sorted(seen) == sorted(map(tuple, expected))
+
+
+def test_cyclic_window_memory_is_bounded():
+    # a random [48,13] cyclic code over GF(7): level 4 of the window has
+    # 715 supports times 216 grids, each a 35-entry word outside the window
+    fam = JAffineFamily(field_from_order(49), (49,), (1,))
+    rng = np.random.default_rng(0)
+    delta = closure(fam, 7, DefiningSet(fam, []))
+    while len(delta) < 13:
+        delta = closure(fam, 7, DefiningSet(fam, [*delta, (int(rng.integers(0, 48)),)]))
+    C = subfield_code(fam, 7, delta)
+    assert (C.n, C.k) == (48, 13)
+    dual(C)  # cached before tracing starts
+    tracemalloc.start()
+    try:
+        res = cyclic_min_weight_upto(C, 16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.exact and res.witness in C
+    assert peak < 8 << 20
 
 
 def test_search_budget_env(monkeypatch):
