@@ -134,19 +134,23 @@ def _dual_basis(S: np.ndarray, pivots: list[int], spec: FieldSpec) -> np.ndarray
 
 
 def nullspace(M: np.ndarray, spec: FieldSpec) -> np.ndarray:
-    """RREF basis of {v : M @ v = 0} (the dual code of the row space).
+    """RREF basis of {v : M @ v = 0} (the dual code of the row space): the
+    dual of rref(M), by nullspace_of_rref."""
+    return nullspace_of_rref(*rref(M, spec), spec)
+
+
+def nullspace_of_rref(R: np.ndarray, pivots: list[int], spec: FieldSpec) -> np.ndarray:
+    """RREF basis of {v : R @ v = 0}, for R in RREF with the given pivots.
 
     A basis S of the row space, of rank k, with S[:, P] the identity gives a
-    dual basis: the identity off P and -S^T on P.  The second elimination
-    takes the side with fewer rows.  If k <= n - k it reduces R = rref(M) with
-    its columns reversed: each row of S is then zero after its pivot, so the
-    dual row of a column f off P is nonzero only at f and at pivots after f,
-    and the dual basis is already in RREF.  Otherwise it reduces the n - k
-    dual rows built from R.
+    dual basis: the identity off P and -S^T on P.  The one elimination takes
+    the side with fewer rows.  If k <= n - k it reduces R with its columns
+    reversed: each row of S is then zero after its pivot, so the dual row of a
+    column f off P is nonzero only at f and at pivots after f, and the dual
+    basis is already in RREF.  Otherwise it reduces the n - k dual rows built
+    from R.
     """
-    M = np.asarray(M, dtype=np.int64)
-    n = M.shape[1]
-    R, pivots = rref(M, spec)
+    n = R.shape[1]
     k = len(pivots)
     if k <= n - k:
         Rrev, rpiv = rref(R[:, ::-1], spec)
@@ -193,8 +197,12 @@ def schur_rows(A: np.ndarray, B: np.ndarray, spec: FieldSpec) -> np.ndarray:
     else:
         prod = mul(A[:, None, :], B[None, :, :]).reshape(-1, A.shape[1])
     prod = np.ascontiguousarray(prod)
-    keys = np.unique(prod.view(np.dtype((np.void, prod.shape[1] * prod.itemsize))).ravel())
-    kept = keys.view(prod.dtype).reshape(len(keys), prod.shape[1])
+    # np.unique by hand: its first call imports numpy.ma, and a signal handler
+    # that calls np.unique during that import recurses in numpy's lazy loader
+    keys = np.sort(prod.view(np.dtype((np.void, prod.shape[1] * prod.itemsize))).ravel())
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    kept = keys[first].view(prod.dtype).reshape(-1, prod.shape[1])
     if spec.q == 2:
         kept = np.unpackbits(kept, axis=1, count=n, bitorder="little")
     return kept.astype(np.int64)

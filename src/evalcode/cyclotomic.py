@@ -22,6 +22,8 @@ import numpy as np
 from evalcode.cartesian import DefiningSet, JAffineFamily, minkowski_schur
 from evalcode.linear_code import LinearCode, _subfield_relabel_maps
 
+_RUN_CELLS = 1 << 18  # most scaled exponents dual_bch_bound holds in one block
+
 
 def _multiplier_degree(family: JAffineFamily, qprime: int) -> int:
     """log_p(q') after checking q' generates a subfield of the ambient field."""
@@ -193,17 +195,6 @@ def schur_subfield(
 # BCH-style dual-distance bounds from consecutive exponents
 
 
-def _longest_cyclic_run(present: Sequence[bool]) -> int:
-    n = len(present)
-    if all(present):
-        return n
-    best = run = 0
-    for v in list(present) + list(present):  # doubled scan covers wraparound
-        run = run + 1 if v else 0
-        best = max(best, run)
-    return min(best, n)
-
-
 def dual_bch_bound(family: JAffineFamily, qprime: int, delta: DefiningSet) -> int:
     """Lower bound on the dual distance of subfield_code(Δ), one variable only.
 
@@ -213,35 +204,36 @@ def dual_bch_bound(family: JAffineFamily, qprime: int, delta: DefiningSet) -> in
     any unit multiplier c; with the zero point included, a run must start at 0
     (the zero coordinate contributes only to the exponent-0 syndrome, and a
     case split on it keeps the bound).
+
+    Both grids read blocks of at most _RUN_CELLS scaled exponents: row c
+    holds c·Δ mod N-1, sorted.  A units row is doubled (shifted by N-1) for
+    wraparound, and its longest run of steps of 1 is capped at N-1; with the
+    zero point, a row's run ends at the first ell >= 1 it misses, in 1..N-1.
     """
     if family.m != 1:
         raise ValueError("consecutive-run bound applies to one-variable families")
     _multiplier_degree(family, qprime)
-    exps = {e[0] for e in delta}
-    if not exps:
+    exps = np.array(sorted({e[0] for e in delta}), dtype=np.int64)
+    units = 1 in family.J
+    # with the zero point, runs {0..ell-1} inside {0} ∪ c·(Δ∖{0})
+    if not exps.size or not units and exps[0] != 0:
         return 1
     n_mod = family.N[0] - 1
-    mults = [c for c in range(1, n_mod) if math.gcd(c, n_mod) == 1]
-    if 1 in family.J:
-        best = 0
-        for c in mults:
-            scaled = [(c * a) % n_mod for a in exps]
-            present = [False] * n_mod
-            for a in scaled:
-                present[a] = True
-            best = max(best, _longest_cyclic_run(present))
-        return best + 1
-    # zero point present: runs {0..ell-1} inside {0} ∪ c·(Δ∖{0})
-    if 0 not in exps:
-        return 1
-    units = {a for a in exps if a != 0}
-    if not units:
-        return 2 if family.N[0] > 1 else 1
-    best = 1
-    for c in mults:
-        scaled = {(c * a - 1) % n_mod + 1 for a in units}
-        ell = 1
-        while ell in scaled:
-            ell += 1
-        best = max(best, ell)
-    return best + 1
+    mults = np.array([c for c in range(1, n_mod) if math.gcd(c, n_mod) == 1], dtype=np.int64)
+    step = max(1, _RUN_CELLS // (2 * exps.size))
+    best = 0
+    for lo in range(0, mults.size, step):
+        c = mults[lo : lo + step, None]
+        if units:
+            rows = np.sort(c * exps % n_mod, axis=1)
+            rows = np.concatenate([rows, rows + n_mod], axis=1)
+            pos = np.arange(rows.shape[1])
+            starts = np.where(np.diff(rows, axis=1, prepend=-1) != 1, pos, 0)
+            runs = pos - np.maximum.accumulate(starts, axis=1) + 1
+        else:
+            rows = np.sort((c * exps[1:] - 1) % n_mod + 1, axis=1)
+            runs = np.logical_and.accumulate(rows == np.arange(1, exps.size), axis=1).sum(axis=1)
+        best = max(best, int(runs.max(initial=0)))
+    if units:
+        return min(best, n_mod) + 1
+    return best + 2  # the first ell missing is best + 1

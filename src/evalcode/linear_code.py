@@ -135,14 +135,16 @@ class LinearCode:
 def dual(C: LinearCode) -> LinearCode:
     """Nullspace code; involution with dim(C) + dim(dual(C)) = n.
 
-    C keeps its dual alive, but the dual refers back to C only weakly, so the
-    pair forms no reference cycle; once C is gone its dual is recomputed.
+    Read off C's stored RREF and pivots (_gfmat.nullspace_of_rref), by one
+    elimination of min(k, n - k) rows.  C keeps its dual alive, but the dual
+    refers back to C only weakly, so the pair forms no reference cycle; once C
+    is gone its dual is recomputed.
     """
     D = C._dual_cache
     if isinstance(D, weakref.ref):
         D = D()
     if D is None:
-        D = LinearCode(C.spec, _gfmat.nullspace(C.gen, C.spec), _reduced=True)
+        D = LinearCode(C.spec, _gfmat.nullspace_of_rref(C.gen, C.pivots, C.spec), _reduced=True)
         D._dual_cache = weakref.ref(C)
         C._dual_cache = D
     return D
@@ -391,17 +393,29 @@ def find_weight_witness(
 
 
 def _isd_witness(C, w, budget):
+    """A verified weight-w codeword of C from a seeded information-set search,
+    or None; deterministic for given (C, w, budget).
+
+    Each of _ISD_ITERS random column permutations gives R, the RREF of C's
+    permuted generator; its rows, then the sums R[i] + u * R[j] (i < j, u a
+    unit), are tried until budget.steps sums are spent.  When 2k > n, R is
+    the nullspace of the permuted dual generator: two eliminations of n - k
+    rows instead of one of k, and the same matrix, since an RREF is unique
+    given its row space.
+    """
     spec, k, n = C.spec, C.k, C.n
     if k == 0:
         return None
     rng = np.random.default_rng(_ISD_SEED)
     units = range(1, spec.q)
+    small_side = dual(C).gen if 2 * k > n else None
     steps = 0
     for _ in range(_ISD_ITERS):
         perm = rng.permutation(n)
-        R, piv = _gfmat.rref(C.gen[:, perm], spec)
-        if len(piv) < k:
-            continue
+        if small_side is None:
+            R = _gfmat.rref(C.gen[:, perm], spec)[0]
+        else:
+            R = _gfmat.nullspace(small_side[:, perm], spec)
         wts = np.count_nonzero(R, axis=1)
         # a row of R is a codeword with its coordinates in perm's order
         for i in np.nonzero(wts == w)[0]:

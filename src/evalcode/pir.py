@@ -191,11 +191,12 @@ def transitivity_premises(
     ):
         return PROVED
     if qprime is not None and family.m == 1 and set(family.J) == {1}:
-        for i in range(len(representatives(family, qprime))):
-            cu = consecutive_union(family, qprime, i)
-            if tuple(cu) == tuple(delta):
+        target, union = set(delta), set()
+        for orb in representatives(family, qprime):  # union i is consecutive_union(i)
+            union.update(orb.orbit)
+            if union == target:
                 return PROVED
-            if len(cu) >= len(delta):
+            if len(union) >= len(target):
                 break
     return UNVERIFIED
 

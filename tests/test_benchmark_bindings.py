@@ -52,15 +52,31 @@ def test_private_names_the_workloads_read():
     assert callable(pir._certify_distance)
 
 
-def test_uncapped_cyclic48_ops_pass_their_checks(monkeypatch):
-    # b1 (search), b2 (bch) and b15 (exhaustive) go through pir._certify_distance
+def _workloads(monkeypatch):
     monkeypatch.syspath_prepend(str(BENCHMARKS))  # workloads.py imports gfref
     path = BENCHMARKS / "workloads.py"
     spec = importlib.util.spec_from_file_location("evalcode_bench_workloads", path)
     workloads = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, workloads)  # dataclasses look it up
     spec.loader.exec_module(workloads)
-    ops = [op for op in workloads.Certify(0).ops if op.label.endswith(", exact)")]
+    return workloads
+
+
+def test_uncapped_cyclic48_ops_pass_their_checks(monkeypatch):
+    # b1 (search), b2 (bch) and b15 (exhaustive) go through pir._certify_distance
+    ops = [op for op in _workloads(monkeypatch).Certify(0).ops if op.label.endswith(", exact)")]
     assert [op.label.split()[1] for op in ops] == ["b1", "b2", "b15"]
+    for op in ops:
+        assert op.check(op.run()) == [], op.label
+
+
+def test_certify_table_ops_pass_their_checks(monkeypatch):
+    # the jcss-t rows, IV and berman49, each built afresh: the uncached
+    # builders keep the cached full tables of other tests out of reach and
+    # the three-row jcss-t table out of the cache
+    ops = [op for op in _workloads(monkeypatch).Certify(0).ops if ".table(" in op.label]
+    assert [op.span for op in ops] == ["csst.table.jcss-t", "pir.table.IV", "pir.table.berman49"]
+    for module in (csst, pir):
+        monkeypatch.setattr(module, "table", module.table.__wrapped__)
     for op in ops:
         assert op.check(op.run()) == [], op.label

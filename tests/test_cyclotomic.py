@@ -1,9 +1,14 @@
 import itertools
+import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from evalcode import linear_code
+from evalcode import cyclotomic, linear_code
 from evalcode.cartesian import DefiningSet, JAffineFamily, evaluate, field_from_order
 from evalcode.cyclotomic import (
     closure,
@@ -252,3 +257,101 @@ def test_bch_bound_requires_one_variable():
     f = fam(8, [8, 8], J=[1, 2])
     with pytest.raises(ValueError):
         dual_bch_bound(f, 2, DefiningSet(f, [(0, 0)]))
+
+
+def _dual_bch_bound_reference(family, qprime, delta):
+    """dual_bch_bound as one Python loop per unit multiplier, over a boolean
+    list of the exponents present mod N-1: the reference for the array form."""
+    exps = {e[0] for e in delta}
+    if not exps:
+        return 1
+    n_mod = family.N[0] - 1
+    mults = [c for c in range(1, n_mod) if math.gcd(c, n_mod) == 1]
+    if 1 in family.J:
+        best = 0
+        for c in mults:
+            present = [False] * n_mod
+            for a in exps:
+                present[(c * a) % n_mod] = True
+            if all(present):
+                run = n_mod
+            else:
+                run = longest = 0
+                for v in present + present:  # doubled scan covers wraparound
+                    run = run + 1 if v else 0
+                    longest = max(longest, run)
+                run = longest
+            best = max(best, run)
+        return best + 1
+    if 0 not in exps:
+        return 1
+    units = {a for a in exps if a != 0}
+    if not units:
+        return 2
+    best = 1
+    for c in mults:
+        scaled = {(c * a - 1) % n_mod + 1 for a in units}
+        ell = 1
+        while ell in scaled:
+            ell += 1
+        best = max(best, ell)
+    return best + 1
+
+
+# ground field order -> subfield orders of its multipliers
+BCH_FIELDS = {4: (2,), 8: (2,), 16: (2, 4), 49: (7,), 64: (2, 4, 8), 256: (2, 4, 16)}
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_dual_bch_bound_agrees_with_reference_loop(data):
+    # closed sets and their complements on the units grid and with the zero
+    # point, for every subgroup order N-1 of each field, N = 2 (no
+    # multipliers) included, in blocks of one row up to all rows
+    for q, qprimes in BCH_FIELDS.items():
+        N = 1 + data.draw(st.sampled_from([d for d in range(1, q) if (q - 1) % d == 0]), label="N-1")
+        qprime = data.draw(st.sampled_from(qprimes), label="q'")
+        for J in ((1,), ()):
+            f = fam(q, [N], J)
+            seeds = data.draw(st.lists(st.sampled_from(f.box()), max_size=4), label="seeds")
+            d = closure(f, qprime, seeds)
+            if data.draw(st.booleans(), label="complement"):  # dense sets, long runs
+                d = DefiningSet(f, set(f.box()) - set(d))
+            cells = data.draw(st.sampled_from([1, 7, cyclotomic._RUN_CELLS]), label="block cells")
+            with mock.patch.object(cyclotomic, "_RUN_CELLS", cells):
+                bound = dual_bch_bound(f, qprime, d)
+            assert bound == _dual_bch_bound_reference(f, qprime, d), (q, N, J, d.elems)
+
+
+@pytest.mark.parametrize("q,qprime", [(16, 2), (49, 7), (256, 4)])
+def test_dual_bch_bound_edges(q, qprime):
+    units, affine = fam(q, [q], J=[1]), fam(q, [q])
+    cases = [
+        (units, [], 1),  # empty Δ
+        (affine, [], 1),
+        (units, units.box(), q),  # every unit: a run of N-1
+        (affine, affine.box(), q + 1),
+        (affine, [e for e in affine.box() if e != (0,)], 1),  # 0 not in Δ with the zero point
+        (affine, [(0,)], 2),
+        (fam(q, [2], J=[1]), [(0,)], 1),  # N-1 = 1: no multipliers
+        (fam(q, [2]), [(0,), (1,)], 2),
+        (fam(q, [2]), [(1,)], 1),
+    ]
+    for f, elems, expect in cases:
+        d = DefiningSet(f, elems)
+        assert dual_bch_bound(f, qprime, d) == _dual_bch_bound_reference(f, qprime, d) == expect
+
+
+def test_dual_bch_bound_memory_is_bounded():
+    # 1 728 unit multipliers of 4 095 times 4 032 exponents, in blocks
+    f = fam(4096, [4096], J=[1])
+    d = DefiningSet(f, [(e,) for e in range(4095) if e % 64])
+    tracemalloc.start()
+    try:
+        bound = dual_bch_bound(f, 2, d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # Δ misses the 64 multiples of 64, which c = 1/64 maps onto 0..63
+    assert bound == 4095 - 64 + 1
+    assert peak < 32 << 20  # 10 MiB measured; all rows at once take 430 MiB

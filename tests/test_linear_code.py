@@ -1,8 +1,12 @@
 import dataclasses
 import gc
 import itertools
+import os
+import subprocess
+import sys
 import tracemalloc
 import weakref
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -153,7 +157,8 @@ def test_nullspace_agrees_with_scalar_gauss_jordan(data):
 def test_nullspace_second_elimination_takes_the_smaller_side(monkeypatch):
     spec = make_field(7, 2)
     rng = np.random.default_rng(49)
-    codes = [LinearCode(spec, rng.integers(0, spec.q, (k, 343))) for k in (1, 337)]
+    gens = [rng.integers(0, spec.q, (k, 343)) for k in (1, 337)]
+    codes = [LinearCode(spec, M) for M in gens]
     assert [C.k for C in codes] == [1, 337]
     rows_in = []
 
@@ -162,12 +167,65 @@ def test_nullspace_second_elimination_takes_the_smaller_side(monkeypatch):
         return rref(M, spec)
 
     monkeypatch.setattr(_gfmat, "rref", recording_rref)
-    for C in codes:
+    for M, C in zip(gens, codes):
+        # dual reads C's stored RREF: one elimination, on the small side
         rows_in.clear()
         D = dual(C)
         assert D.k == C.n - C.k
         assert not np.any(_gfmat.matmul(C.gen, D.gen.T, spec))
+        assert len(rows_in) == 1 and rows_in[0] <= min(C.k, C.n - C.k), rows_in
+        # nullspace of an unreduced matrix reduces it first
+        rows_in.clear()
+        assert np.array_equal(_gfmat.nullspace(M, spec), D.gen)
         assert len(rows_in) == 2 and rows_in[1] <= min(C.k, C.n - C.k), rows_in
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_small_side_rref_is_the_permuted_rref(data):
+    # the witness search's R when 2k > n: the nullspace of the permuted dual
+    # generator is the RREF of C's permuted generator, on both sides of n/2
+    for p, r in [(2, 1), (3, 1), (2, 2), (7, 1), (2, 3)]:
+        spec = make_field(p, r)
+        n = data.draw(st.integers(2, 16), label="n")
+        k = data.draw(
+            st.one_of(st.sampled_from([n - 1, n // 2, n // 2 + 1]), st.integers(0, n)), label="k"
+        )
+        entries = st.lists(st.integers(0, spec.q - 1), min_size=k * (n - k), max_size=k * (n - k))
+        A = np.array(data.draw(entries, label="A"), dtype=np.int64).reshape(k, n - k)
+        shuffle = data.draw(st.permutations(range(n)), label="shuffle")
+        C = LinearCode(spec, np.concatenate([np.eye(k, dtype=np.int64), A], axis=1)[:, shuffle])
+        assert C.k == k
+        perm = np.array(data.draw(st.permutations(range(n)), label="perm"), dtype=np.int64)
+        expect = rref(C.gen[:, perm], spec)[0]
+        assert np.array_equal(_gfmat.nullspace(dual(C).gen[:, perm], spec), expect)
+        # the witness search returns the first row of the target weight in its
+        # first R, which must be the RREF of the first permuted generator
+        if k:
+            first = np.random.default_rng(linear_code._ISD_SEED).permutation(n)
+            R = rref(C.gen[:, first], spec)[0]
+            wts = np.count_nonzero(R, axis=1)
+            word = linear_code._isd_witness(C, int(wts[-1]), SearchBudget())
+            assert np.array_equal(word, R[np.argmax(wts == wts[-1])][np.argsort(first)])
+
+
+def test_witness_search_eliminates_only_the_small_side():
+    # a high-rate code whose dual is not cached, as when it is the dual of a
+    # code that is gone: no elimination may take more than n - k rows
+    rng = np.random.default_rng(23)
+    for spec, n, k, steps in [(F2, 255, 230, 3 * 230 * 229 // 2), (make_field(7, 2), 343, 300, 50)]:
+        C = LinearCode(spec, rng.integers(0, spec.q, (k, n)))
+        assert C.k == k
+        C._dual_cache = None
+        rows_in = []
+
+        def recording_rref(M, spec):
+            rows_in.append(np.asarray(M).shape[0])
+            return rref(M, spec)
+
+        with mock.patch.object(_gfmat, "rref", recording_rref):
+            assert linear_code._isd_witness(C, 1, SearchBudget(steps)) is None
+        assert rows_in and max(rows_in) <= n - k, rows_in
 
 
 def test_dual_involution_and_dims():
@@ -273,6 +331,32 @@ def test_schur_square_memory_is_bounded():
         tracemalloc.stop()
     assert (C1.k, sq.k) == (186, 494)
     assert peak < 32 << 20
+
+
+def test_schur_leaves_numpy_ma_unimported():
+    # np.unique imports numpy.ma on its first call, and a signal handler that
+    # calls np.unique during that import (the benchmark's speed sampler does)
+    # recurses in numpy's lazy loader
+    code = (
+        "import sys, numpy as np\n"
+        "before = 'numpy.ma' in sys.modules\n"
+        "from evalcode import pir\n"
+        "from evalcode.galois import make_field\n"
+        "from evalcode.linear_code import LinearCode, schur\n"
+        "pir.table('IV')\n"
+        "C = LinearCode(make_field(7, 1), np.arange(40).reshape(4, 10) % 7)\n"
+        "schur(C, C)\n"
+        "print(before, 'numpy.ma' in sys.modules)\n"
+    )
+    src = str(Path(linear_code.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, timeout=300, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    before, after = proc.stdout.split()
+    assert after == before
 
 
 def test_contains_and_membership():

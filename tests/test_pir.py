@@ -20,7 +20,13 @@ from evalcode.cartesian import (
     full_affine_family,
     minkowski_schur,
 )
-from evalcode.cyclotomic import closure, consecutive_union, schur_subfield, subfield_code
+from evalcode.cyclotomic import (
+    closure,
+    consecutive_union,
+    representatives,
+    schur_subfield,
+    subfield_code,
+)
 from evalcode.linear_code import LinearCode, dual, schur
 from evalcode.pir import (
     PROVED,
@@ -143,6 +149,24 @@ def test_premises_consecutive_class_union():
     assert transitivity_premises(f, d, 2) == PROVED
     skipping = d.union(closure(f, 2, DefiningSet(f, [(11,)])))
     assert transitivity_premises(f, skipping, 2) == UNVERIFIED
+
+
+@pytest.mark.parametrize("q,qprime", [(16, 2), (16, 4), (64, 2), (64, 8), (256, 2), (256, 16)])
+def test_premises_match_the_consecutive_union_definition(q, qprime):
+    # proved exactly when Δ is consecutive_union(i) for some i: every union,
+    # then closed sets that skip a class, and sets that are not closed
+    f = fam(q, (q,), (1,))
+    unions = [consecutive_union(f, qprime, i) for i in range(len(representatives(f, qprime)))]
+    rng = random.Random(q * qprime)
+    others = [DefiningSet(f, []), DefiningSet(f, [(1,)])]
+    for size in (1, 2, 3, 5):
+        seeds = rng.sample(f.box(), size)
+        others.append(closure(f, qprime, seeds))
+        others.append(unions[size % len(unions)].union(closure(f, qprime, seeds[-1:])))
+    for d in unions + others:
+        expect = PROVED if d in unions else UNVERIFIED
+        assert transitivity_premises(f, d, qprime) == expect, (q, qprime, d.elems)
+    assert any(d not in unions for d in others)
 
 
 def test_verify_transitive_scaling_orbit():
