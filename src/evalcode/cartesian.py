@@ -22,24 +22,16 @@ import numpy as np
 
 from evalcode import _gfmat
 from evalcode.galois import FieldElement, FieldError, FieldSpec, make_field, subgroup_roots
+from evalcode.galois import _ilog, _prime_factors
 from evalcode.linear_code import LinearCode
 
 
 def field_from_order(q: int) -> FieldSpec:
     """GF(q) for a prime power q."""
-    p = 2
-    while p * p <= q:
-        if q % p == 0:
-            r = 0
-            t = q
-            while t % p == 0:
-                t //= p
-                r += 1
-            if t != 1:
-                raise FieldError(f"{q} is not a prime power")
-            return make_field(p, r)
-        p += 1
-    return make_field(q, 1)
+    primes = _prime_factors(q)
+    if len(primes) != 1:
+        raise FieldError(f"{q} is not a prime power")
+    return make_field(primes[0], _ilog(q, primes[0]))
 
 
 class JAffineFamily:
@@ -389,13 +381,16 @@ def delta_wrm(q: int, m: int, s: int, S: Sequence[int]) -> DefiningSet:
 
 def delta_hyperbolic(q: int, m: int, s: int) -> DefiningSet:
     """Exponents with prod (q - e_j) >= s; footprint-optimal by construction."""
-    fam = full_affine_family(q, m)
-    elems = [
-        e
-        for e in itertools.product(range(q), repeat=m)
-        if math.prod(q - ej for ej in e) >= s
-    ]
-    return DefiningSet(fam, elems)
+    return hyperbolic_shell(full_affine_family(q, m), s)
+
+
+def hyperbolic_shell(family: JAffineFamily, d: int) -> DefiningSet:
+    """Exponents with prod_j (|Z_j| - e_j) >= d: the designed-distance-d set."""
+    z = family.zsizes()
+    return DefiningSet(
+        family,
+        (e for e in family.box() if math.prod(zj - ej for zj, ej in zip(z, e)) >= d),
+    )
 
 
 def rm_distance(q: int, m: int, s: int) -> int:

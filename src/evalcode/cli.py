@@ -35,8 +35,7 @@ from evalcode.cartesian import (
     delta_rm,
     delta_wrm,
     field_from_order,
-    footprint_bound,
-    footprint_witness,
+    footprint_distance,
     is_decreasing,
     minkowski_schur,
 )
@@ -220,21 +219,13 @@ def _distance_summary(
     delta: DefiningSet | None,
     qprime: int | None,
     budget: SearchBudget,
-) -> tuple[DistanceResult | None, str]:
+) -> DistanceResult | None:
     if C.k == 0:
-        return None, "zero code"
+        return None
     if delta is not None and qprime is None and is_decreasing(delta):
-        fb = footprint_bound(family, delta)
-        _, wt = footprint_witness(family, delta)
-        how = (
-            "footprint bound with matching witness"
-            if wt == fb
-            else f"footprint bound; best witness weight {wt}"
-        )
-        res = DistanceResult(fb, wt, how=how)
-    else:
-        res = min_distance(C, budget)
-    return res, res.how
+        d = footprint_distance(family, delta)
+        return DistanceResult(d, d, how="footprint bound with matching witness")
+    return min_distance(C, budget)
 
 
 def _summary_lines(
@@ -246,16 +237,16 @@ def _summary_lines(
 ) -> list[str]:
     """Head, n, k and distance lines, then the defining set's properties
     unless delta is None."""
-    res, how = _distance_summary(C, family, delta, qprime, budget)
+    res = _distance_summary(C, family, delta, qprime, budget)
     if res is None:
         head = f"[{C.n},0,-]"
         dist = "distance: n/a (zero code)"
     elif res.exact:
         head = f"[{C.n},{C.k},{res.lower}]"
-        dist = f"distance: {res.lower} (exact; {how})"
+        dist = f"distance: {res.lower} (exact; {res.how})"
     else:
         head = f"[{C.n},{C.k},d>={res.lower}]"
-        dist = f"distance: in [{res.lower}, {res.upper}] ({how})"
+        dist = f"distance: in [{res.lower}, {res.upper}] ({res.how})"
     lines = [head, f"n: {C.n}", f"k: {C.k}", dist]
     if delta is None:
         return lines

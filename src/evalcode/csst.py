@@ -34,11 +34,12 @@ from evalcode.cartesian import (
     footprint_bound,
     footprint_distance,
     full_affine_family,
+    hyperbolic_shell,
     minkowski_schur,
     wrm_nesting,
 )
 from evalcode.cyclotomic import closure, is_coset_closed, subfield_code
-from evalcode.galois import make_field
+from evalcode.galois import _order_mod, make_field
 from evalcode.linear_code import (
     LinearCode,
     SearchBudget,
@@ -238,15 +239,6 @@ def jaffine_csst(
     return cert["c2_subset_c1"] and cert["all_ones_orthogonal"], cert
 
 
-def hyperbolic_shell(family: JAffineFamily, d: int) -> DefiningSet:
-    """Exponents with prod_j (|Z_j| - e_j) >= d: the designed-distance-d set."""
-    z = family.zsizes()
-    return DefiningSet(
-        family,
-        (e for e in family.box() if math.prod(zj - ej for zj, ej in zip(z, e)) >= d),
-    )
-
-
 def hyperbolic_dual_certificate(
     family: JAffineFamily, qprime: int, d2: DefiningSet, d: int
 ) -> tuple[int | None, str]:
@@ -274,18 +266,6 @@ def hyperbolic_dual_certificate(
     return fb, "hyperbolic containment"
 
 
-def _mult_order(base: int, modulus: int) -> int:
-    if modulus == 1:
-        return 1
-    if math.gcd(base, modulus) != 1:
-        raise ValueError(f"{base} is not invertible mod {modulus}")
-    o, acc = 1, base % modulus
-    while acc != 1:
-        acc = (acc * base) % modulus
-        o += 1
-    return o
-
-
 def csst_product_construction(
     one_var: tuple[int, Iterable[int], Iterable[int]],
     tail: tuple[Sequence[int], int],
@@ -304,10 +284,7 @@ def csst_product_construction(
     m = len(Ns)
     if not 1 <= m1 <= m:
         raise ValueError("m_1 must index a coordinate")
-    r = 1
-    for j, Nj in enumerate(Ns, start=1):
-        r = math.lcm(r, _mult_order(2, Nj - 1))
-    spec = make_field(2, r)
+    spec = make_field(2, math.lcm(*(_order_mod(2, Nj - 1) for Nj in Ns)))
     J = frozenset(range(m1 + 1, m + 1))
     family = JAffineFamily(spec, Ns, J)
     line = JAffineFamily(spec, [N1], ())

@@ -14,12 +14,14 @@ units-plus-zero) are covered.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from evalcode.cartesian import DefiningSet, JAffineFamily, minkowski_schur
+from evalcode.galois import _ilog
 from evalcode.linear_code import LinearCode, _subfield_relabel_maps
 
 _RUN_CELLS = 1 << 18  # most scaled exponents dual_bch_bound holds in one block
@@ -27,12 +29,8 @@ _RUN_CELLS = 1 << 18  # most scaled exponents dual_bch_bound holds in one block
 
 def _multiplier_degree(family: JAffineFamily, qprime: int) -> int:
     """log_p(q') after checking q' generates a subfield of the ambient field."""
-    p = family.spec.p
-    s, t = 0, qprime
-    while t > 1 and t % p == 0:
-        t //= p
-        s += 1
-    if t != 1 or s == 0 or family.spec.r % s != 0:
+    s = _ilog(qprime, family.spec.p)
+    if not s or family.spec.r % s:
         raise ValueError(f"{qprime} is not the order of a subfield of GF({family.spec.q})")
     return s
 
@@ -76,72 +74,84 @@ class CyclotomicSet:
         return f"CyclotomicSet(rep={self.rep}, size={self.size})"
 
 
+@functools.lru_cache(maxsize=None)
+def _orbit_ranks(family: JAffineFamily, qprime: int) -> np.ndarray:
+    """The rank, in representative order, of every box entry's q'-orbit.
+
+    Entries are indexed in the lexicographic order of family.box().  q' is a
+    unit mod every N_j - 1 and bar reduction fixes 0 on an affine coordinate,
+    so e -> bar(q' e) permutes the box and the orbits are its cycles.  Each
+    entry is labelled with the least index on its cycle, which is the cycle's
+    least exponent, its representative; q'^(r/s) = q bounds the steps.
+    """
+    _multiplier_degree(family, qprime)
+    shape = tuple(t + 1 for t in family.T)
+    box = np.indices(shape).reshape(family.m, -1).T
+    step = np.ravel_multi_index(family.bar_reduce_arr(qprime * box).T, shape)
+    ident = np.arange(step.size)
+    label, x = ident, step
+    while not np.array_equal(x, ident):
+        label, x = np.minimum(label, x), step[x]
+    rank = np.cumsum(label == ident)[label] - 1
+    rank.flags.writeable = False
+    return rank
+
+
+def _exponents(family: JAffineFamily, positions: np.ndarray) -> list[tuple[int, ...]]:
+    """The exponent vectors at box indices."""
+    cols = np.unravel_index(positions, tuple(t + 1 for t in family.T))
+    return list(zip(*(c.tolist() for c in cols)))
+
+
+def _ranks(family: JAffineFamily, qprime: int, delta) -> np.ndarray:
+    """The orbit ranks of the members of Δ (inside the box), in Δ's order."""
+    e = np.array(list(delta), dtype=np.int64).reshape(-1, family.m)
+    pos = np.ravel_multi_index(e.T, tuple(t + 1 for t in family.T))
+    return _orbit_ranks(family, qprime)[pos]
+
+
+def _orbit_mask(family: JAffineFamily, qprime: int, delta) -> np.ndarray:
+    """Box mask of the orbits that meet Δ."""
+    rank = _orbit_ranks(family, qprime)
+    hit = np.zeros(rank.size, dtype=bool)
+    hit[_ranks(family, qprime, delta)] = True
+    return hit[rank]
+
+
 def orbit_of(family: JAffineFamily, qprime: int, e: Sequence[int]) -> CyclotomicSet:
     """Closure of {e} under multiplication by q' with bar reduction."""
-    _multiplier_degree(family, qprime)
     start = tuple(int(x) for x in e)
-    if len(start) != family.m or any(
-        not 0 <= xj <= tj for xj, tj in zip(start, family.T)
-    ):
+    if len(start) != family.m or any(not 0 <= x <= t for x, t in zip(start, family.T)):
         raise ValueError(f"exponent {start} lies outside the box")
-    orbit = [start]
-    cur = start
-    while True:
-        cur = family.bar_reduce([qprime * xj for xj in cur])
-        if cur == start:
-            break
-        orbit.append(cur)
-    return CyclotomicSet(family, qprime, orbit)
+    members = np.flatnonzero(_orbit_mask(family, qprime, [start]))
+    return CyclotomicSet(family, qprime, _exponents(family, members))
 
 
 def representatives(family: JAffineFamily, qprime: int) -> list[CyclotomicSet]:
     """One orbit per class, ordered by their minimal representatives."""
-    seen: set[tuple[int, ...]] = set()
-    out = []
-    for e in sorted(family.box()):
-        if e in seen:
-            continue
-        orb = orbit_of(family, qprime, e)
-        seen.update(orb.orbit)
-        out.append(orb)
-    return out
+    rank = _orbit_ranks(family, qprime)
+    exps = _exponents(family, np.argsort(rank, kind="stable"))
+    ends = np.cumsum(np.bincount(rank)).tolist()
+    return [CyclotomicSet(family, qprime, exps[a:b]) for a, b in zip([0] + ends, ends)]
 
 
 def closure(family: JAffineFamily, qprime: int, delta) -> DefiningSet:
     """Smallest orbit-closed superset of Δ."""
-    elems: set[tuple[int, ...]] = set()
-    for e in delta:
-        elems.update(orbit_of(family, qprime, e).orbit)
-    return DefiningSet(family, elems)
+    mask = _orbit_mask(family, qprime, DefiningSet(family, delta))
+    return DefiningSet(family, _exponents(family, np.flatnonzero(mask)))
 
 
 def is_coset_closed(family: JAffineFamily, qprime: int, delta: DefiningSet) -> bool:
-    return all(family.bar_reduce([qprime * xj for xj in e]) in delta for e in delta)
+    return np.count_nonzero(_orbit_mask(family, qprime, delta)) == len(delta)
 
 
 def consecutive_union(family: JAffineFamily, qprime: int, i: int) -> DefiningSet:
     """Union of the first i+1 orbits in representative order."""
-    reps = representatives(family, qprime)
-    if not 0 <= i < len(reps):
-        raise ValueError(f"index {i} out of range for {len(reps)} orbits")
-    elems: set[tuple[int, ...]] = set()
-    for orb in reps[: i + 1]:
-        elems.update(orb.orbit)
-    return DefiningSet(family, elems)
-
-
-def _orbits_within(family: JAffineFamily, qprime: int, delta: DefiningSet) -> list[CyclotomicSet]:
-    seen: set[tuple[int, ...]] = set()
-    out = []
-    for e in delta:
-        if e in seen:
-            continue
-        orb = orbit_of(family, qprime, e)
-        if any(x not in delta for x in orb):
-            raise ValueError(f"set is not closed: orbit of {e} leaves it")
-        seen.update(orb.orbit)
-        out.append(orb)
-    return out
+    rank = _orbit_ranks(family, qprime)
+    count = int(rank.max()) + 1
+    if not 0 <= i < count:
+        raise ValueError(f"index {i} out of range for {count} orbits")
+    return DefiningSet(family, _exponents(family, np.flatnonzero(rank <= i)))
 
 
 def subfield_code(family: JAffineFamily, qprime: int, delta: DefiningSet) -> LinearCode:
@@ -153,17 +163,23 @@ def subfield_code(family: JAffineFamily, qprime: int, delta: DefiningSet) -> Lin
     """
     sdeg = _multiplier_degree(family, qprime)
     spec = family.spec
-    sub, to_sub, _ = _subfield_relabel_maps(spec, sdeg)
+    sub, to_sub = _subfield_relabel_maps(spec, sdeg)
     if len(delta) == 0:
         return LinearCode.zero(sub, family.n_points)
-    orbits = _orbits_within(family, qprime, delta)
+    if not is_coset_closed(family, qprime, delta):
+        e = next(e for e in delta if any(x not in delta for x in orbit_of(family, qprime, e)))
+        raise ValueError(f"set is not closed: orbit of {e} leaves it")
+    first: dict[int, tuple[int, ...]] = {}
+    for k, e in zip(_ranks(family, qprime, delta).tolist(), delta):
+        first.setdefault(k, e)  # Δ is sorted: an orbit's first member is its least
+    sizes = np.bincount(_orbit_ranks(family, qprime))
     rows = []
-    for orb in orbits:
-        ia = orb.size
+    for k, rep in first.items():
+        ia = int(sizes[k])
         ext = qprime**ia - 1
         assert (spec.q - 1) % ext == 0, "orbit length must give a subfield of GF(q)"
         xi = spec.pow(spec._gidx, (spec.q - 1) // ext) if ext > 1 else 1
-        base = family.monomial_row(orb.rep)
+        base = family.monomial_row(rep)
         coef = 1
         for _ in range(ia):
             u = spec.scale_arr(coef, base)

@@ -107,6 +107,24 @@ def _digits(idx: int, p: int, width: int) -> list[int]:
     return out
 
 
+def _ilog(n: int, base: int) -> int | None:
+    """k with base**k == n, or None when n is not a power of base."""
+    k = 0
+    while base > 1 and n > 1 and n % base == 0:
+        n, k = n // base, k + 1
+    return k if n == 1 else None
+
+
+def _order_mod(a: int, n: int) -> int:
+    """Multiplicative order of a modulo n (1 when n = 1)."""
+    if math.gcd(a, n) != 1:
+        raise FieldError(f"{a} is not invertible mod {n}")
+    k = 1
+    while pow(a, k, n) != 1 % n:
+        k += 1
+    return k
+
+
 def _prime_factors(n: int) -> list[int]:
     out = []
     f = 2

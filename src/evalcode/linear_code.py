@@ -198,8 +198,8 @@ def shorten(C: LinearCode, positions: Iterable[int]) -> LinearCode:
 # subfield subcodes (matrix-level route)
 
 
-def _subfield_relabel_maps(spec: FieldSpec, s: int) -> tuple[FieldSpec, np.ndarray, np.ndarray]:
-    """Index maps between GF(p^s) inside spec and the canonical GF(p^s).
+def _subfield_relabel_maps(spec: FieldSpec, s: int) -> tuple[FieldSpec, np.ndarray]:
+    """The index map from GF(p^s) inside spec to the canonical GF(p^s).
 
     The subfield copy inside GF(p^r) is generated by g^((q-1)/(q'-1)); it is
     identified with the standalone field by sending that generator to the least
@@ -208,12 +208,10 @@ def _subfield_relabel_maps(spec: FieldSpec, s: int) -> tuple[FieldSpec, np.ndarr
     sub = make_field(spec.p, s)
     qp = sub.q
     to_sub = np.full(spec.q, -1, dtype=np.int64)
-    from_sub = np.zeros(qp, dtype=np.int64)
     to_sub[0] = 0
     if qp == 2:
         to_sub[1] = 1
-        from_sub[1] = 1
-        return sub, to_sub, from_sub
+        return sub, to_sub
     g_in = spec.pow(spec._gidx, (spec.q - 1) // (qp - 1))
     # minimal polynomial of g_in over GF(p): prod over conjugates (X - g_in^{p^t})
     conj, x = [], g_in
@@ -243,10 +241,9 @@ def _subfield_relabel_maps(spec: FieldSpec, s: int) -> tuple[FieldSpec, np.ndarr
     a_in, a_out = 1, 1
     for _ in range(qp - 1):
         to_sub[a_in] = a_out
-        from_sub[a_out] = a_in
         a_in = spec.mul(a_in, g_in)
         a_out = sub.mul(a_out, root)
-    return sub, to_sub, from_sub
+    return sub, to_sub
 
 
 def subfield_subcode(C: LinearCode, s: int) -> LinearCode:
@@ -263,7 +260,7 @@ def subfield_subcode(C: LinearCode, s: int) -> LinearCode:
     if s == spec.r:
         return C
     qp = spec.p**s
-    sub, to_sub, _ = _subfield_relabel_maps(spec, s)
+    sub, to_sub = _subfield_relabel_maps(spec, s)
     if C.k == 0:
         return LinearCode.zero(sub, C.n)
     # GF(p)-basis of C: x^t * row for the polynomial basis elements x^t

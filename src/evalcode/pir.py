@@ -47,15 +47,17 @@ from .cartesian import (
 )
 from .csst import hyperbolic_dual_certificate
 from .cyclotomic import (
+    _ranks,
     closure,
     consecutive_union,
     dual_bch_bound,
     is_coset_closed,
+    orbit_of,
     representatives,
     subfield_code,
     schur_subfield,
 )
-from .galois import primitive_element
+from .galois import _ilog, _order_mod, primitive_element
 from .linear_code import (
     DistanceResult,
     LinearCode,
@@ -165,12 +167,6 @@ def pir_params(
 # transitivity
 
 
-def _is_power_of(N: int, p: int) -> bool:
-    while N % p == 0:
-        N //= p
-    return N == 1
-
-
 def transitivity_premises(
     family: JAffineFamily, delta: DefiningSet, qprime: int | None = None
 ) -> str:
@@ -186,18 +182,14 @@ def transitivity_premises(
     p = family.spec.p
     if (
         not family.J
-        and all(_is_power_of(N, p) for N in family.N)
+        and all(_ilog(N, p) is not None for N in family.N)
         and is_decreasing(delta)
     ):
         return PROVED
-    if qprime is not None and family.m == 1 and set(family.J) == {1}:
-        target, union = set(delta), set()
-        for orb in representatives(family, qprime):  # union i is consecutive_union(i)
-            union.update(orb.orbit)
-            if union == target:
-                return PROVED
-            if len(union) >= len(target):
-                break
+    if qprime is not None and family.m == 1 and family.J == {1}:
+        ranks = _ranks(family, qprime, delta)
+        if ranks.size and delta == consecutive_union(family, qprime, int(ranks.max())):
+            return PROVED
     return UNVERIFIED
 
 
@@ -337,15 +329,6 @@ def _pair_transitivity(
 # named constructions
 
 
-def _orbit_min(a: int, qprime: int, modulus: int) -> int:
-    best = x = a % modulus
-    while True:
-        x = x * qprime % modulus
-        if x == a % modulus:
-            return best
-        best = min(best, x)
-
-
 def te_pir_subfield(
     family: JAffineFamily,
     qprime: int,
@@ -368,11 +351,8 @@ def te_pir_subfield(
     spec = family.spec
     if family.m != 2 or family.J:
         raise ValueError("construction needs a two-coordinate grid with zeros kept")
-    r, qq = 0, 1
-    while qq < spec.q:
-        qq *= qprime
-        r += 1
-    if qq != spec.q:
+    r = _ilog(spec.q, qprime)
+    if r is None:
         raise ValueError("ambient field order must be a power of the subfield order")
     N1, N2 = family.N
     if N2 < 3:
@@ -380,14 +360,17 @@ def te_pir_subfield(
     if (qprime - 1) % (N2 - 1):
         raise ValueError("N2 - 1 must divide q' - 1 so second-coordinate classes are singletons")
     n1 = N1 - 1
-    ladder = sorted({_orbit_min(a, qprime, n1) for a in range(1, n1)})
+    # the classes of (a, 0), 0 < a < N1 - 1, in representative order
+    reps = [o.rep for o in representatives(family, qprime)]
+    ladder = [a for a, b in reps if b == 0 and 0 < a < n1]
     if a1 is None:
         a1 = ladder[0]
+    first = orbit_of(family, qprime, (a1, 0))
     if a2 is None:
-        a2 = next(a for a in ladder if a != a1 % n1 and a != _orbit_min(a1, qprime, n1))
+        a2 = next(a for a in ladder if (a, 0) not in first)
     if a1 % n1 == 0 or a2 % n1 == 0:
         raise ValueError("retrieval classes must be nonzero")
-    if _orbit_min(a1, qprime, n1) == _orbit_min(a2, qprime, n1):
+    if (a2, 0) in first:
         raise ValueError("the two retrieval classes must be distinct")
 
     dC = closure(family, qprime, DefiningSet(family, [(0, 0), (0, 1), (0, 2)]))
@@ -437,11 +420,7 @@ def one_var_scheme(
     """
     if N < 2 or math.gcd(N, qprime) != 1:
         raise ValueError("N must be at least 2 and coprime to the subfield order")
-    r, x = 1, qprime % N
-    while x != 1:
-        x = x * qprime % N
-        r += 1
-    q = qprime**r
+    q = qprime ** _order_mod(qprime, N)
     if q > 1 << 20:
         raise ValueError(f"ambient field order {q} exceeds the supported 2^20")
     family = JAffineFamily(field_from_order(q), (q,), (1,))

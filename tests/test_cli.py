@@ -88,8 +88,8 @@ def test_build_repetition_summary(tmp_path, capsys):
 )
 def test_build_distance_is_min_distance(k, n, seed, bracket, how):
     C = LinearCode(make_field(2, 1), np.random.default_rng(seed).integers(0, 2, size=(k, n)))
-    res, named = _distance_summary(C, None, None, None, SearchBudget())
-    assert C.k == k and (res.lower, res.upper) == bracket and named == how
+    res = _distance_summary(C, None, None, None, SearchBudget())
+    assert C.k == k and (res.lower, res.upper) == bracket and res.how == how
 
 
 def test_build_reports_divisibility_failure(tmp_path, capsys):

@@ -97,6 +97,62 @@ def test_orbits_partition_box():
         assert set(total) == set(f.box())
 
 
+def _walk_orbit(family, qprime, e):
+    """The orbit of e by repeated scalar bar reduction: the reference for the
+    cached orbit table."""
+    start = cur = tuple(e)
+    orbit = [start]
+    while (cur := family.bar_reduce([qprime * x for x in cur])) != start:
+        orbit.append(cur)
+    return tuple(sorted(orbit))
+
+
+@st.composite
+def orbit_families(draw):
+    # mixed J, every N_j - 1 dividing q - 1, boxes of at most 1 024 entries
+    # (N_j = 2 once 512 is reached), q' ranging over every subfield order, q
+    # itself included
+    q = draw(st.sampled_from([4, 8, 9, 16, 25, 27, 49, 64]))
+    spec = field_from_order(q)
+    N, size = [], 1
+    for _ in range(draw(st.integers(1, 3))):
+        fits = [d for d in range(1, q) if (q - 1) % d == 0 and size * (d + 1) <= 512]
+        N.append(1 + draw(st.sampled_from(fits or [1])))
+        size *= N[-1]
+    J = draw(st.sets(st.integers(1, len(N))))
+    qprime = draw(st.sampled_from([spec.p**s for s in range(1, spec.r + 1) if spec.r % s == 0]))
+    return fam(q, N, J), qprime
+
+
+@settings(max_examples=40, deadline=None)
+@given(orbit_families(), st.data())
+def test_orbit_table_agrees_with_scalar_walk(case, data):
+    f, qp = case
+    box = f.box()
+    walks = {e: _walk_orbit(f, qp, e) for e in box}
+    for e in box:
+        assert orbit_of(f, qp, e).orbit == walks[e]
+    ladder = []
+    for e in box:  # box order is lexicographic: an orbit's first entry is its least
+        if walks[e][0] == e:
+            ladder.append(walks[e])
+    assert [o.orbit for o in representatives(f, qp)] == ladder
+    for i in range(len(ladder)):
+        union = {x for orb in ladder[: i + 1] for x in orb}
+        assert set(consecutive_union(f, qp, i)) == union
+    with pytest.raises(ValueError):
+        consecutive_union(f, qp, len(ladder))
+    seeds = data.draw(st.lists(st.sampled_from(box), max_size=5), label="seeds")
+    closed = closure(f, qp, seeds)
+    assert set(closed) == {x for e in seeds for x in walks[e]}
+    movable = [e for e in closed if len(walks[e]) > 1][:3]
+    unclosed = [DefiningSet(f, set(closed) - {e}) for e in movable]
+    for d in [closed, DefiningSet(f, seeds), *unclosed]:
+        expect = all(f.bar_reduce([qp * x for x in e]) in d for e in d)
+        assert is_coset_closed(f, qp, d) == expect, d.elems
+    assert not any(is_coset_closed(f, qp, d) for d in unclosed)
+
+
 # ----------------------------------------------------------------- closure
 
 

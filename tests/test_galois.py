@@ -7,6 +7,8 @@ from evalcode.galois import (
     _OP_TABLE_LIMIT,
     FieldError,
     _digits,
+    _ilog,
+    _order_mod,
     arith,
     make_field,
     primitive_element,
@@ -22,6 +24,20 @@ def test_make_field_rejects_bad_input():
         make_field(4, 1)
     with pytest.raises(FieldError):
         make_field(2, 0)
+
+
+def test_integer_log_and_multiplicative_order_match_brute_force():
+    for base in range(1, 10):
+        for n in range(0, 600):
+            powers = [k for k in range(12) if base**k == n]
+            assert _ilog(n, base) == (powers[0] if powers else None), (n, base)
+    for n in range(1, 60):
+        for a in range(-3, 70):
+            if np.gcd(a, n) != 1:
+                with pytest.raises(FieldError):
+                    _order_mod(a, n)
+            else:
+                assert _order_mod(a, n) == next(k for k in range(1, n + 1) if (a**k - 1) % n == 0)
 
 
 def test_gf4_structure():

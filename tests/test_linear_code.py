@@ -336,11 +336,18 @@ def test_schur_square_memory_is_bounded():
 def test_schur_leaves_numpy_ma_unimported():
     # np.unique imports numpy.ma on its first call, and a signal handler that
     # calls np.unique during that import (the benchmark's speed sampler does)
-    # recurses in numpy's lazy loader
+    # recurses in numpy's lazy loader; the orbit table is queried directly on
+    # a fresh family, and again through the table IV build
     code = (
         "import sys, numpy as np\n"
         "before = 'numpy.ma' in sys.modules\n"
         "from evalcode import pir\n"
+        "from evalcode.cartesian import JAffineFamily, field_from_order\n"
+        "from evalcode.cyclotomic import closure, consecutive_union, representatives\n"
+        "f = JAffineFamily(field_from_order(64), (64, 4), (2,))\n"
+        "closure(f, 2, [(1, 0), (0, 1)])\n"
+        "representatives(f, 4)\n"
+        "consecutive_union(f, 8, 5)\n"
         "from evalcode.galois import make_field\n"
         "from evalcode.linear_code import LinearCode, schur\n"
         "pir.table('IV')\n"

@@ -225,7 +225,10 @@ def test_verify_transitive_size_guard():
 
 
 def test_subfield_theorem_instance_q49():
-    s = te_pir_subfield(fam(49, (49, 7)), 7)
+    f = fam(49, (49, 7))
+    s = te_pir_subfield(f, 7)
+    # the default retrieval classes are the two least nonzero ones
+    assert s.retrieval == te_pir_subfield(f, 7, a1=1, a2=2).retrieval
     assert s.n == 343
     assert s.rate == Fraction(326, 343)
     assert s.rate_string == "326/343"
