@@ -14,8 +14,8 @@ footprint product.  Matrix-level counterparts in linear_code serve as oracles.
 
 from __future__ import annotations
 
+import functools
 import itertools
-import math
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -37,7 +37,7 @@ def field_from_order(q: int) -> FieldSpec:
 class JAffineFamily:
     """Ambient data (q, m, N_1..N_m, J) fixing the grid, the box E_J, and n_J."""
 
-    __slots__ = ("spec", "m", "N", "J", "T", "_coords", "_root_lists", "_box_cache")
+    __slots__ = ("spec", "m", "N", "J", "T", "shape", "_coords", "_root_lists", "_footprints")
 
     def __init__(self, spec: FieldSpec, N: Sequence[int], J: Iterable[int] = ()):
         self.spec = spec
@@ -54,9 +54,10 @@ class JAffineFamily:
         self.T = tuple(
             Nj - 2 if j in self.J else Nj - 1 for j, Nj in enumerate(self.N, start=1)
         )
+        self.shape = tuple(t + 1 for t in self.T)
         self._coords = None
         self._root_lists = None
-        self._box_cache = None
+        self._footprints = None
 
     # -- structure ---------------------------------------------------------
 
@@ -69,16 +70,11 @@ class JAffineFamily:
 
     def box(self) -> list[tuple[int, ...]]:
         """E_J, the full exponent box, in lexicographic order."""
-        if self._box_cache is None:
-            self._box_cache = list(itertools.product(*(range(t + 1) for t in self.T)))
-        return self._box_cache
+        return list(itertools.product(*(range(n) for n in self.shape)))
 
     def e_prime_box(self) -> list[tuple[int, ...]]:
         """E' = prod {0..N_j-2}, the sub-box where duality is combinatorial."""
         return list(itertools.product(*(range(Nj - 1) for Nj in self.N)))
-
-    def in_e_prime(self, e: Sequence[int]) -> bool:
-        return all(ej <= Nj - 2 for ej, Nj in zip(e, self.N))
 
     def root_lists(self) -> list[list[int]]:
         """Per-coordinate point sets as element indices, in evaluation order."""
@@ -102,6 +98,15 @@ class JAffineFamily:
         return tuple(
             (Nj - 1) if j in self.J else Nj for j, Nj in enumerate(self.N, start=1)
         )
+
+    def footprints(self) -> np.ndarray:
+        """prod_j (|Z_j| - e_j) at every box entry: the footprint of each monomial."""
+        if self._footprints is None:
+            axes = (np.arange(z, z - t - 1, -1) for z, t in zip(self.zsizes(), self.T))
+            fp = functools.reduce(np.multiply, np.ix_(*axes))
+            fp.flags.writeable = False
+            self._footprints = fp
+        return self._footprints
 
     def bar_reduce(self, e: Sequence[int]) -> tuple[int, ...]:
         """Canonical representative of an exponent vector inside E_J."""
@@ -149,20 +154,40 @@ class JAffineFamily:
 
 
 class DefiningSet:
-    """A finite set of exponent vectors inside the box E_J of one family."""
+    """A finite set of exponent vectors inside the box E_J of one family.
 
-    __slots__ = ("family", "elems", "_set")
+    The set is a read-only boolean mask of shape family.shape; elems lists its
+    members in C order, which is lexicographic order.
+    """
+
+    __slots__ = ("family", "mask", "elems")
 
     def __init__(self, family: JAffineFamily, elems: Iterable[Sequence[int]]):
-        self.family = family
         pts = {tuple(int(x) for x in e) for e in elems}
         for e in pts:
             if len(e) != family.m:
                 raise ValueError(f"exponent {e} has wrong arity for {family}")
             if any(not 0 <= ej <= tj for ej, tj in zip(e, family.T)):
                 raise ValueError(f"exponent {e} lies outside the box {family.T}")
-        self.elems = tuple(sorted(pts))
-        self._set = frozenset(self.elems)
+        mask = np.zeros(family.shape, dtype=bool)
+        mask[tuple(np.array(list(pts), dtype=np.int64).reshape(-1, family.m).T)] = True
+        self._init(family, mask)
+
+    @classmethod
+    def from_mask(cls, family: JAffineFamily, mask: np.ndarray) -> "DefiningSet":
+        """The set whose members are the True entries of a box-shaped mask."""
+        mask = np.array(mask, dtype=bool)
+        if mask.shape != family.shape:
+            raise ValueError(f"mask of shape {mask.shape} does not fit the box {family.shape}")
+        out = cls.__new__(cls)
+        out._init(family, mask)
+        return out
+
+    def _init(self, family: JAffineFamily, mask: np.ndarray):
+        mask.flags.writeable = False
+        self.family = family
+        self.mask = mask
+        self.elems = tuple(map(tuple, np.argwhere(mask).tolist()))
 
     def __iter__(self):
         return iter(self.elems)
@@ -171,25 +196,31 @@ class DefiningSet:
         return len(self.elems)
 
     def __contains__(self, e):
-        return tuple(e) in self._set
+        e = tuple(e)
+        inside = len(e) == self.family.m and all(0 <= x < n for x, n in zip(e, self.mask.shape))
+        return inside and bool(self.mask[e])
 
     def __eq__(self, other):
         return (
             isinstance(other, DefiningSet)
             and self.family == other.family
-            and self._set == other._set
+            and np.array_equal(self.mask, other.mask)
         )
 
-    def __le__(self, other: "DefiningSet"):
-        return self._set <= other._set
-
-    def __hash__(self):
-        return hash((self.family, self._set))
-
-    def union(self, other: "DefiningSet") -> "DefiningSet":
+    def _same_family(self, other: "DefiningSet"):
         if other.family != self.family:
             raise ValueError("defining sets belong to different families")
-        return DefiningSet(self.family, self._set | other._set)
+
+    def __le__(self, other: "DefiningSet"):
+        self._same_family(other)
+        return not np.any(self.mask & ~other.mask)
+
+    def __hash__(self):
+        return hash((self.family, self.mask.tobytes()))
+
+    def union(self, other: "DefiningSet") -> "DefiningSet":
+        self._same_family(other)
+        return DefiningSet.from_mask(self.family, self.mask | other.mask)
 
     def __repr__(self):
         return f"DefiningSet({len(self.elems)} exponents in {self.family})"
@@ -224,15 +255,16 @@ def minkowski_schur(family: JAffineFamily, d1: DefiningSet, d2: DefiningSet) -> 
     """Reduced Minkowski sum; the exponent set of the Schur product code."""
     if d1.family != family or d2.family != family:
         raise ValueError("defining sets belong to a different family")
-    a = np.array(d1.elems, dtype=np.int64).reshape(-1, family.m)
+    a = np.argwhere(d1.mask)
     if d1 == d2:  # a square sums each unordered pair once
         i, j = np.triu_indices(len(a))
         sums = a[i] + a[j]
     else:
-        b = np.array(d2.elems, dtype=np.int64).reshape(-1, family.m)
+        b = np.argwhere(d2.mask)
         sums = (a[:, None, :] + b[None, :, :]).reshape(-1, family.m)
-    # dedup before DefiningSet, which checks each exponent it is given
-    return DefiningSet(family, set(map(tuple, family.bar_reduce_arr(sums).tolist())))
+    mask = np.zeros(family.shape, dtype=bool)
+    mask[tuple(family.bar_reduce_arr(sums).T)] = True
+    return DefiningSet.from_mask(family, mask)
 
 
 def nonzero_pairing_partners(family: JAffineFamily, e: Sequence[int]) -> list[set[int]]:
@@ -270,11 +302,10 @@ def delta_dual(family: JAffineFamily, delta: DefiningSet) -> DefiningSet:
     """
     if delta.family != family:
         raise ValueError("defining set belongs to a different family")
-    bad: set[tuple[int, ...]] = set()
+    paired = np.zeros(family.shape, dtype=bool)
     for e in delta:
-        parts = nonzero_pairing_partners(family, e)
-        bad.update(itertools.product(*parts))
-    return DefiningSet(family, (e for e in family.box() if e not in bad))
+        paired[np.ix_(*(sorted(b) for b in nonzero_pairing_partners(family, e)))] = True
+    return DefiningSet.from_mask(family, ~paired)
 
 
 def dual_is_exact(family: JAffineFamily, delta: DefiningSet, dd: DefiningSet) -> bool:
@@ -287,13 +318,7 @@ def footprint_bound(family: JAffineFamily, delta: DefiningSet) -> int:
     """min over e in Δ of prod_j (|Z_j| - e_j); a distance lower bound."""
     if len(delta) == 0:
         raise ValueError("footprint of an empty set is undefined")
-    z = family.zsizes()
-    return min(math.prod(zj - ej for zj, ej in zip(z, e)) for e in delta)
-
-
-def _footprint_argmin(family: JAffineFamily, delta: DefiningSet) -> tuple[int, ...]:
-    z = family.zsizes()
-    return min(delta, key=lambda e: math.prod(zj - ej for zj, ej in zip(z, e)))
+    return int(family.footprints()[delta.mask].min())
 
 
 def footprint_witness(family: JAffineFamily, delta: DefiningSet) -> tuple[np.ndarray, int]:
@@ -307,11 +332,12 @@ def footprint_witness(family: JAffineFamily, delta: DefiningSet) -> tuple[np.nda
     if not is_decreasing(delta):
         raise ValueError("footprint witness requires a decreasing set")
     spec = family.spec
-    estar = _footprint_argmin(family, delta)
+    fp = family.footprints()
+    # the lexicographically least minimizer
+    estar = np.unravel_index(np.flatnonzero(delta.mask)[np.argmin(fp[delta.mask])], fp.shape)
     # the down-set of e* must sit inside delta (decreasingness gives this; the
     # explicit check keeps the certificate self-contained)
-    for mono in itertools.product(*(range(v + 1) for v in estar)):
-        assert mono in delta
+    assert delta.mask[tuple(slice(v + 1) for v in estar)].all()
     coords = family.coords()
     roots = family.root_lists()
     word = np.ones(family.n_points, dtype=np.int64)
@@ -320,8 +346,7 @@ def footprint_witness(family: JAffineFamily, delta: DefiningSet) -> tuple[np.nda
             beta = roots[j][l]
             word = spec.mul_arr(word, spec.sub_arr(coords[j], np.int64(beta)))
     weight = int(np.count_nonzero(word))
-    z = family.zsizes()
-    assert weight == math.prod(zj - ej for zj, ej in zip(z, estar))
+    assert weight == fp[estar]
     return word, weight
 
 
@@ -337,13 +362,12 @@ def footprint_distance(family: JAffineFamily, delta: DefiningSet) -> int:
 
 def is_decreasing(delta: DefiningSet) -> bool:
     """True iff Δ contains every componentwise-smaller exponent of each member."""
-    s = delta._set
-    for e in delta:
-        for j in range(len(e)):
-            if e[j] > 0:
-                smaller = e[:j] + (e[j] - 1,) + e[j + 1 :]
-                if smaller not in s:
-                    return False
+    mask = delta.mask
+    for j in range(mask.ndim):
+        lo = (slice(None),) * j + (slice(None, -1),)
+        hi = (slice(None),) * j + (slice(1, None),)
+        if np.any(mask[hi] & ~mask[lo]):
+            return False
     return True
 
 
@@ -371,12 +395,8 @@ def delta_wrm(q: int, m: int, s: int, S: Sequence[int]) -> DefiningSet:
     if s < 0:
         raise ValueError("degree bound must be nonnegative")
     fam = full_affine_family(q, m)
-    elems = [
-        e
-        for e in itertools.product(range(q), repeat=m)
-        if sum(w * ej for w, ej in zip(S, e)) <= s
-    ]
-    return DefiningSet(fam, elems)
+    degree = functools.reduce(np.add, np.ix_(*(w * np.arange(q) for w in S)))
+    return DefiningSet.from_mask(fam, degree <= s)
 
 
 def delta_hyperbolic(q: int, m: int, s: int) -> DefiningSet:
@@ -386,11 +406,7 @@ def delta_hyperbolic(q: int, m: int, s: int) -> DefiningSet:
 
 def hyperbolic_shell(family: JAffineFamily, d: int) -> DefiningSet:
     """Exponents with prod_j (|Z_j| - e_j) >= d: the designed-distance-d set."""
-    z = family.zsizes()
-    return DefiningSet(
-        family,
-        (e for e in family.box() if math.prod(zj - ej for zj, ej in zip(z, e)) >= d),
-    )
+    return DefiningSet.from_mask(family, family.footprints() >= d)
 
 
 def rm_distance(q: int, m: int, s: int) -> int:

@@ -194,10 +194,7 @@ class CodeSpec:
                 f"{where}: unknown generator {gen!r} "
                 "(expected rm, wrm, hyperbolic, or cosets)"
             )
-        try:
-            return DefiningSet(family, list(made))
-        except (ValueError, IndexError) as exc:
-            raise SpecError(f"{where}: {exc}") from None
+        return DefiningSet.from_mask(family, made.mask)
 
     def build_code(self, family: JAffineFamily, delta: DefiningSet) -> LinearCode:
         if self.qprime is None or self.qprime == self.q:
@@ -293,7 +290,11 @@ def _load_pair(path1: str, path2: str):
     family = s1.build_family()
     d1 = s1.build_delta(family)
     d2 = s2.build_delta(family)
-    return s1, s2, family, d1, d2
+    C1 = s1.build_code(family, d1)
+    C2 = s2.build_code(family, d2)
+    if C1.spec is not C2.spec:
+        raise SpecError(f"{path2}: subfield degree differs from {path1}")
+    return s1, s2, family, d1, d2, C1, C2
 
 
 def _csst_structure_route(s1, s2, family, d1, d2):
@@ -324,11 +325,7 @@ def _csst_structure_route(s1, s2, family, d1, d2):
 
 
 def cmd_verify_csst(args) -> int:
-    s1, s2, family, d1, d2 = _load_pair(args.c1, args.c2)
-    C1 = s1.build_code(family, d1)
-    C2 = s2.build_code(family, d2)
-    if C1.spec is not C2.spec:
-        raise SpecError(f"{args.c2}: subfield degree differs from {args.c1}")
+    s1, s2, family, d1, d2, C1, C2 = _load_pair(args.c1, args.c2)
     verified, conditions = is_csst_pair(C1, C2)
     route = _csst_structure_route(s1, s2, family, d1, d2)
     cert = {
@@ -369,11 +366,7 @@ def cmd_verify_pir_transitive(args) -> int:
 
 
 def cmd_schur(args) -> int:
-    s1, s2, family, d1, d2 = _load_pair(args.c1, args.c2)
-    C1 = s1.build_code(family, d1)
-    C2 = s2.build_code(family, d2)
-    if C1.spec is not C2.spec:
-        raise SpecError(f"{args.c2}: subfield degree differs from {args.c1}")
+    s1, s2, family, d1, d2, C1, C2 = _load_pair(args.c1, args.c2)
     CD = schur(C1, C2)
     if s1.qprime is None and s2.qprime is None:
         delta = minkowski_schur(family, d1, d2)

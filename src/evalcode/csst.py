@@ -14,7 +14,6 @@ the multivariable duals; upper-bound witnesses are searched separately.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -192,18 +191,19 @@ def jaffine_csst_strict(
     dual of Δ2 (where duality is exact).
     """
     _require_binary(family)
+    e_prime = tuple(slice(Nj - 1) for Nj in family.N)
     for d in (d1, d2):
-        if any(not family.in_e_prime(e) for e in d):
+        if np.count_nonzero(d.mask[e_prime]) != len(d):
             raise ValueError("defining sets must lie inside E'")
         if not is_coset_closed(family, qprime, d):
             raise ValueError("defining sets must be unions of complete orbits")
     cert: dict = {"c2_subset_c1": d2 <= d1}
     dd2 = delta_dual(family, d2)
     square = minkowski_schur(family, d1, d1)
-    bad = [e for e in square if e not in dd2]
+    bad = np.argwhere(square.mask & ~dd2.mask).tolist()
     cert["square_in_dual"] = not bad
     if bad:
-        cert["violating_exponent"] = bad[0]
+        cert["violating_exponent"] = tuple(bad[0])
     return cert["c2_subset_c1"] and cert["square_in_dual"], cert
 
 
@@ -214,7 +214,8 @@ def jaffine_csst(
 
     Requires Δ2 ⊆ Δ1 and, for every a in bar(Δ1+Δ1+Δ2), some coordinate j with
     a_j != 0 (j in J) or a_j != N_j - 1 (j not in J) — equivalently the
-    all-ones vector pairs to zero against the triple product code.
+    all-ones vector pairs to zero against the triple product code.  Only one
+    exponent of the box breaks that: the corner with those coordinates.
     """
     _require_binary(family)
     for d in (d1, d2):
@@ -222,20 +223,10 @@ def jaffine_csst(
             raise ValueError("defining sets must be unions of complete orbits")
     cert: dict = {"c2_subset_c1": d2 <= d1}
     triple = minkowski_schur(family, minkowski_schur(family, d1, d1), d2)
-    violating = None
-    for a in triple:
-        ok = False
-        for j in range(1, family.m + 1):
-            aj = a[j - 1]
-            if (j in family.J and aj != 0) or (j not in family.J and aj != family.N[j - 1] - 1):
-                ok = True
-                break
-        if not ok:
-            violating = a
-            break
-    cert["all_ones_orthogonal"] = violating is None
-    if violating is not None:
-        cert["violating_exponent"] = violating
+    corner = tuple(0 if j in family.J else Nj - 1 for j, Nj in enumerate(family.N, start=1))
+    cert["all_ones_orthogonal"] = corner not in triple
+    if corner in triple:
+        cert["violating_exponent"] = corner
     return cert["c2_subset_c1"] and cert["all_ones_orthogonal"], cert
 
 
@@ -298,12 +289,10 @@ def csst_product_construction(
     triple = minkowski_schur(line, minkowski_schur(line, D1, D1), D2)
     if (N1 - 1,) in triple:
         raise ValueError(f"exponent {N1 - 1} appears in the reduced triple sum")
-    tail_ranges = [
-        range(Nj) if j <= m1 else range(Nj - 1) for j, Nj in enumerate(Ns, start=1)
-    ][1:]
-    delta1 = DefiningSet(
-        family,
-        [(e1[0],) + rest for e1 in D1 for rest in itertools.product(*tail_ranges)],
+    # Δ^1 times the full tail box: the tail axes of family.shape are exactly
+    # range(N_j) up to m_1 and range(N_j - 1) beyond
+    delta1 = DefiningSet.from_mask(
+        family, np.broadcast_to(D1.mask.reshape((N1,) + (1,) * (m - 1)), family.shape)
     )
     delta2 = closure(family, 2, delta_dual(family, hyperbolic_shell(family, hyperbolic_d)))
     ok, cert = jaffine_csst(family, 2, delta1, delta2)
@@ -460,7 +449,9 @@ def _table_jcsst() -> list[TableRow]:
     for label, order, N, J, axes, seeds, (n_pr, k_pr, d_pr), note in _JCSST_ROWS:
         fam = JAffineFamily(field_from_order(order), N, J)
         n = fam.n_points
-        d1 = DefiningSet(fam, itertools.product(*axes))
+        mask = np.zeros(fam.shape, dtype=bool)
+        mask[np.ix_(*axes)] = True
+        d1 = DefiningSet.from_mask(fam, mask)
         assert is_coset_closed(fam, 2, d1)
         d2 = closure(fam, 2, DefiningSet(fam, seeds))
         ok_gate, cert = jaffine_csst(fam, 2, d1, d2)

@@ -78,43 +78,34 @@ class CyclotomicSet:
 def _orbit_ranks(family: JAffineFamily, qprime: int) -> np.ndarray:
     """The rank, in representative order, of every box entry's q'-orbit.
 
-    Entries are indexed in the lexicographic order of family.box().  q' is a
-    unit mod every N_j - 1 and bar reduction fixes 0 on an affine coordinate,
-    so e -> bar(q' e) permutes the box and the orbits are its cycles.  Each
-    entry is labelled with the least index on its cycle, which is the cycle's
-    least exponent, its representative; q'^(r/s) = q bounds the steps.
+    The result has the box's shape.  q' is a unit mod every N_j - 1 and bar
+    reduction fixes 0 on an affine coordinate, so e -> bar(q' e) permutes the
+    box and the orbits are its cycles.  Each entry is labelled with the least
+    C-order index on its cycle, which is the cycle's least exponent, its
+    representative; q'^(r/s) = q bounds the steps.
     """
     _multiplier_degree(family, qprime)
-    shape = tuple(t + 1 for t in family.T)
-    box = np.indices(shape).reshape(family.m, -1).T
-    step = np.ravel_multi_index(family.bar_reduce_arr(qprime * box).T, shape)
-    ident = np.arange(step.size)
+    box = np.indices(family.shape).reshape(family.m, -1).T
+    ident = np.arange(len(box))
+    step = ident.reshape(family.shape)[tuple(family.bar_reduce_arr(qprime * box).T)]
     label, x = ident, step
     while not np.array_equal(x, ident):
         label, x = np.minimum(label, x), step[x]
-    rank = np.cumsum(label == ident)[label] - 1
+    rank = (np.cumsum(label == ident)[label] - 1).reshape(family.shape)
     rank.flags.writeable = False
     return rank
 
 
-def _exponents(family: JAffineFamily, positions: np.ndarray) -> list[tuple[int, ...]]:
-    """The exponent vectors at box indices."""
-    cols = np.unravel_index(positions, tuple(t + 1 for t in family.T))
-    return list(zip(*(c.tolist() for c in cols)))
+def _ranks(family: JAffineFamily, qprime: int, delta: DefiningSet) -> np.ndarray:
+    """The orbit ranks of the members of Δ, in Δ's order."""
+    return _orbit_ranks(family, qprime)[delta.mask]
 
 
-def _ranks(family: JAffineFamily, qprime: int, delta) -> np.ndarray:
-    """The orbit ranks of the members of Δ (inside the box), in Δ's order."""
-    e = np.array(list(delta), dtype=np.int64).reshape(-1, family.m)
-    pos = np.ravel_multi_index(e.T, tuple(t + 1 for t in family.T))
-    return _orbit_ranks(family, qprime)[pos]
-
-
-def _orbit_mask(family: JAffineFamily, qprime: int, delta) -> np.ndarray:
+def _orbit_mask(family: JAffineFamily, qprime: int, delta: DefiningSet) -> np.ndarray:
     """Box mask of the orbits that meet Δ."""
     rank = _orbit_ranks(family, qprime)
     hit = np.zeros(rank.size, dtype=bool)
-    hit[_ranks(family, qprime, delta)] = True
+    hit[rank[delta.mask]] = True
     return hit[rank]
 
 
@@ -123,22 +114,24 @@ def orbit_of(family: JAffineFamily, qprime: int, e: Sequence[int]) -> Cyclotomic
     start = tuple(int(x) for x in e)
     if len(start) != family.m or any(not 0 <= x <= t for x, t in zip(start, family.T)):
         raise ValueError(f"exponent {start} lies outside the box")
-    members = np.flatnonzero(_orbit_mask(family, qprime, [start]))
-    return CyclotomicSet(family, qprime, _exponents(family, members))
+    rank = _orbit_ranks(family, qprime)
+    return CyclotomicSet(family, qprime, np.argwhere(rank == rank[start]).tolist())
 
 
 def representatives(family: JAffineFamily, qprime: int) -> list[CyclotomicSet]:
     """One orbit per class, ordered by their minimal representatives."""
     rank = _orbit_ranks(family, qprime)
-    exps = _exponents(family, np.argsort(rank, kind="stable"))
-    ends = np.cumsum(np.bincount(rank)).tolist()
+    box = np.indices(family.shape).reshape(family.m, -1).T
+    exps = box[np.argsort(rank, axis=None, kind="stable")].tolist()
+    ends = np.cumsum(np.bincount(rank.ravel())).tolist()
     return [CyclotomicSet(family, qprime, exps[a:b]) for a, b in zip([0] + ends, ends)]
 
 
 def closure(family: JAffineFamily, qprime: int, delta) -> DefiningSet:
     """Smallest orbit-closed superset of Δ."""
-    mask = _orbit_mask(family, qprime, DefiningSet(family, delta))
-    return DefiningSet(family, _exponents(family, np.flatnonzero(mask)))
+    if not (isinstance(delta, DefiningSet) and delta.family == family):
+        delta = DefiningSet(family, delta)
+    return DefiningSet.from_mask(family, _orbit_mask(family, qprime, delta))
 
 
 def is_coset_closed(family: JAffineFamily, qprime: int, delta: DefiningSet) -> bool:
@@ -151,7 +144,7 @@ def consecutive_union(family: JAffineFamily, qprime: int, i: int) -> DefiningSet
     count = int(rank.max()) + 1
     if not 0 <= i < count:
         raise ValueError(f"index {i} out of range for {count} orbits")
-    return DefiningSet(family, _exponents(family, np.flatnonzero(rank <= i)))
+    return DefiningSet.from_mask(family, rank <= i)
 
 
 def subfield_code(family: JAffineFamily, qprime: int, delta: DefiningSet) -> LinearCode:
@@ -172,7 +165,7 @@ def subfield_code(family: JAffineFamily, qprime: int, delta: DefiningSet) -> Lin
     first: dict[int, tuple[int, ...]] = {}
     for k, e in zip(_ranks(family, qprime, delta).tolist(), delta):
         first.setdefault(k, e)  # Δ is sorted: an orbit's first member is its least
-    sizes = np.bincount(_orbit_ranks(family, qprime))
+    sizes = np.bincount(_orbit_ranks(family, qprime).ravel())
     rows = []
     for k, rep in first.items():
         ia = int(sizes[k])
@@ -229,7 +222,7 @@ def dual_bch_bound(family: JAffineFamily, qprime: int, delta: DefiningSet) -> in
     if family.m != 1:
         raise ValueError("consecutive-run bound applies to one-variable families")
     _multiplier_degree(family, qprime)
-    exps = np.array(sorted({e[0] for e in delta}), dtype=np.int64)
+    exps = np.flatnonzero(delta.mask)
     units = 1 in family.J
     # with the zero point, runs {0..ell-1} inside {0} ∪ c·(Δ∖{0})
     if not exps.size or not units and exps[0] != 0:

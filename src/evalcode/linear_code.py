@@ -507,7 +507,7 @@ def _window_weights(Gout, t, p):
     lead = Gout.astype(dtype)
     if t > 1:  # row (u-1)*k + i holds u * Gout[i] mod p
         units = np.arange(1, p, dtype=np.int64)[:, None, None]
-        table = (units * Gout % p).astype(dtype).reshape(-1, m)
+        table = (units * Gout % p).astype(dtype).reshape((p - 1) * k, m)
     ngrids = (p - 1) ** (t - 1)
     gstep = max(1, min(ngrids, _WINDOW_CELLS // max(m, 1)))
     sstep = max(1, _WINDOW_CELLS // (gstep * max(m, 1)))

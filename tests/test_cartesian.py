@@ -116,6 +116,16 @@ def test_defining_set_validation():
         d.union(DefiningSet(g, [(0,)]))
 
 
+def test_subset_order_rejects_other_families():
+    # GF(4) and GF(8) lines share their low exponents; only union used to refuse
+    small = DefiningSet(fam(4, [4]), [(1,)])
+    big = DefiningSet(fam(8, [8]), [(1,), (2,)])
+    for op in (lambda: small <= big, lambda: small.union(big)):
+        with pytest.raises(ValueError, match="different families"):
+            op()
+    assert small <= DefiningSet(small.family, [(1,), (3,)])
+
+
 # ---------------------------------------------------------------- evaluate
 
 

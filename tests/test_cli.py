@@ -202,6 +202,15 @@ def test_verify_csst_requires_shared_family(tmp_path, capsys):
     assert code == 2 and "family" in err
 
 
+@pytest.mark.parametrize("command", [("verify", "csst"), ("schur",)])
+def test_pair_commands_require_one_subfield_degree(tmp_path, capsys, command):
+    c1 = spec_file(tmp_path, COSET_SPEC, "c1.json")
+    c2 = spec_file(tmp_path, {**COSET_SPEC, "subfield": 2}, "c2.json")
+    code, out, err = run(capsys, *command, c1, c2)
+    assert (code, out) == (2, "")
+    assert err == f"error: {c2}: subfield degree differs from {c1}\n"
+
+
 def test_verify_pir_transitive_structure_route(tmp_path, capsys):
     code, out, _ = run(capsys, "verify", "pir-transitive", spec_file(tmp_path, REP_SPEC))
     assert code == 0

@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import gc
 import itertools
@@ -364,6 +365,22 @@ def test_schur_leaves_numpy_ma_unimported():
     assert proc.returncode == 0, proc.stderr
     before, after = proc.stdout.split()
     assert after == before
+
+
+def test_library_calls_no_numpy_set_routine():
+    # the guard above sees numpy.ma only on the paths it runs, and only the
+    # plain np.unique imports it on NumPy 2.4 (return_counts= does not); the
+    # exponent sets are box masks, which need none of these routines
+    banned = {"unique", "union1d", "intersect1d", "setdiff1d", "setxor1d", "isin"}
+    calls = []
+    for path in sorted(Path(linear_code.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+                if name in banned:
+                    calls.append(f"{path.name}:{node.lineno}: {name}")
+    assert not calls
 
 
 def test_contains_and_membership():
@@ -741,6 +758,13 @@ def test_symmetry_reduced_searches_agree_with_exhaustive(data):
                 assert int(np.count_nonzero(res.witness)) == d and res.witness in C
             else:
                 assert (res.lower, res.upper, res.witness) == (cap + 1, C.n, None)
+
+
+def test_window_search_on_the_whole_space():
+    # k = n leaves no column outside the window
+    for spec in (F2, F7):
+        res = cyclic_min_weight_upto(LinearCode(spec, np.eye(5, dtype=np.int64)), 2)
+        assert res.exact and res.lower == 1 and int(np.count_nonzero(res.witness)) == 1
 
 
 def test_split_search_reduces_only_cyclic_codes():
