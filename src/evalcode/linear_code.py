@@ -31,7 +31,7 @@ _TABLE_ENTRIES = 1 << 20  # most entries in the enumeration's table of words
 _SUPPORT_LEVEL_CAP = {True: 6, False: 5}  # exhaustive support search depth, keyed by q == 2
 _ISD_SEED, _ISD_ITERS = 7, 400  # information-set search: permutation seed, iterations
 _SPLIT_TABLE_BYTES = 1 << 30  # most bytes of one split-search level's high half-table
-_WINDOW_CELLS = 1 << 20  # most word entries of one window-search block
+_BLOCK_CELLS = 1 << 21  # most digits in one block of _unit_sums
 
 
 def _steps_from_env() -> int:
@@ -277,19 +277,11 @@ def subfield_subcode(C: LinearCode, s: int) -> LinearCode:
     lam = _gfmat.nullspace(digs.T, prime)  # combos over GF(p)
     if lam.shape[0] == 0:
         return LinearCode.zero(sub, C.n)
-    fixed = _gfmat.matmul(lam, B, spec) if spec.p != 2 else _xor_combine(lam, B)
+    # a GF(p)-combination of GF(q) entries combines their GF(p) digits
+    combined = _gfmat.matmul(lam, spec.digits_arr(B).reshape(len(B), -1), prime)
+    fixed = spec.from_digits_arr(combined.reshape(len(lam), C.n, spec.r))
     assert np.all(to_sub[fixed] >= 0), "fixed vectors must have subfield entries"
     return LinearCode(sub, to_sub[fixed])
-
-
-def _xor_combine(lam: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """lam @ B over GF(2) scalars acting on GF(2^r) index vectors (XOR add)."""
-    out = np.zeros((lam.shape[0], B.shape[1]), dtype=np.int64)
-    for t in range(lam.shape[1]):
-        rows = lam[:, t] != 0
-        if np.any(rows):
-            out[rows] ^= B[t]
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -454,10 +446,11 @@ def cyclic_min_weight_upto(C: LinearCode, w_cap: int) -> DistanceResult:
     most floor(w*k/n) nonzero entries inside a fixed window of k consecutive
     information positions, so enumerating all such sparse messages certifies:
     if the minimum found is <= w_cap it is the exact distance, otherwise the
-    distance exceeds w_cap.  Prime fields only.  Scalar multiples have equal
-    weight, so a message's first nonzero coefficient is fixed to 1: a
-    t-support has (p-1)^(t-1) coefficient grids.  Words are sums of small
-    integers reduced once mod p, exact in every prime field.
+    distance exceeds w_cap.  Prime fields only.  Any k cyclically consecutive
+    positions of a cyclic code are an information set, so the window is
+    positions 0..k-1, the pivots of the stored RREF.  Scalar multiples have
+    equal weight, so a message's first nonzero coefficient is fixed to 1: a
+    t-support has (p-1)^(t-1) coefficient grids, summed by _unit_sums.
     """
     spec = C.spec
     if spec.r != 1:
@@ -465,63 +458,62 @@ def cyclic_min_weight_upto(C: LinearCode, w_cap: int) -> DistanceResult:
     if not is_cyclic(C):
         raise ValueError("code is not cyclic; window bound does not apply")
     n, k, p = C.n, C.k, spec.p
-    G = None
-    for off in range(n):
-        colorder = [(off + t) % n for t in range(n)]
-        R, piv = _gfmat.rref(C.gen[:, colorder], spec)
-        if len(piv) == k and piv[-1] == k - 1:
-            G = np.empty_like(R)
-            G[:, colorder] = R
-            window = colorder[:k]
-            break
-    if G is None:
-        raise ValueError("no consecutive information window found")
+    G = C.gen
+    if C.pivots != list(range(k)):
+        raise RuntimeError(f"cyclic code {C} has pivots {C.pivots}, not 0..k-1")
     omega = (w_cap * k) // n
-    out_cols = [c for c in range(n) if c not in set(window)]
-    Gout = G[:, out_cols]
+    rows = np.arange(1, p, dtype=np.int64)[:, None, None] * G[:, k:] % p
     best, best_word = n + 1, None
     for t in range(1, min(omega, k) + 1):
-        for sup, grids, wts in _window_weights(Gout, t, p):
+        for sup, grids, acc in _unit_sums(rows, k, t, p, lead_one=True):
+            wts = np.count_nonzero(acc, axis=2).reshape(-1)
             i = int(np.argmin(wts))
             if wts[i] + t < best:
                 best = int(wts[i]) + t
                 msg = np.zeros(k, dtype=np.int64)
-                msg[sup[i // len(grids)]] = np.append(1, grids[i % len(grids)] + 1)
+                msg[sup[i // len(grids)]] = grids[i % len(grids)] + 1
                 best_word = _gfmat.matmul(msg[None, :], G, spec)[0]
     if best <= w_cap:
         return DistanceResult(best, best, _verify_word(C, best_word, best), how="cyclic window")
     return DistanceResult(w_cap + 1, C.n, how="cyclic window")
 
 
-def _window_weights(Gout, t, p):
-    """Yield (supports, grids, weights) over all t-supports of the window.
+def _unit_sums(rows, n, t, p, *, lead_one=False, through_zero=False):
+    """Yield (supports, grids, acc) blocks over every t-subset of range(n), in
+    lexicographic order, and every grid of units on it.
 
-    A word's message is 1 on a support's first position and the grid's units
-    (stored as u - 1) on the others; weights[s * len(grids) + g] counts its
-    nonzero entries outside the window.  Rows of Gout and of a table of their
-    unit multiples, built from level 2 on, are summed in the narrowest dtype
-    and reduced once, in blocks of at most _WINDOW_CELLS entries.
+    rows[u - 1, i] holds the GF(p) digits of u times column i.  A grid lists
+    a support's units as u - 1, in itertools.product order (the last position
+    varies fastest); with lead_one the first unit is 1.  With through_zero
+    only the subsets holding position 0 are enumerated.  acc[s, g] is the sum
+    of rows[grids[g, j], supports[s, j]] over j, reduced mod p in the
+    narrowest dtype that holds the sums.  A block holds at most _BLOCK_CELLS
+    digits, or one entry; a block that splits the grids holds one support, so
+    the blocks' entries, concatenated, are in support-major order.
     """
-    k, m = Gout.shape
+    units, _, m = rows.shape
     dtype = np.min_scalar_type(t * (p - 1)).type
-    lead = Gout.astype(dtype)
-    if t > 1:  # row (u-1)*k + i holds u * Gout[i] mod p
-        units = np.arange(1, p, dtype=np.int64)[:, None, None]
-        table = (units * Gout % p).astype(dtype).reshape((p - 1) * k, m)
-    ngrids = (p - 1) ** (t - 1)
-    gstep = max(1, min(ngrids, _WINDOW_CELLS // max(m, 1)))
-    sstep = max(1, _WINDOW_CELLS // (gstep * max(m, 1)))
-    places = (p - 1) ** np.arange(t - 1, dtype=np.int64)
-    for sup in _combination_chunks(k, t, sstep):
+    table = rows.astype(dtype, copy=False).reshape(units * n, m)  # row (u-1)*n + i
+    free = t - lead_one
+    ngrids = units**free
+    gstep = max(1, min(ngrids, _BLOCK_CELLS // max(m, 1)))
+    sstep = max(1, _BLOCK_CELLS // (gstep * max(m, 1))) if gstep == ngrids else 1
+    places = units ** np.arange(free - 1, -1, -1, dtype=np.int64)
+    for sup in _combination_chunks(n - through_zero, t - through_zero, sstep):
+        if through_zero:
+            sup = np.insert(sup + 1, 0, 0, axis=1)
         for g0 in range(0, ngrids, gstep):
-            flat = np.arange(g0, min(g0 + gstep, ngrids), dtype=np.int64)
-            grids = flat[:, None] // places % (p - 1)
+            ranks = np.arange(g0, min(g0 + gstep, ngrids), dtype=np.int64)
+            grids = ranks[:, None] // places % units
+            if lead_one:
+                grids = np.insert(grids, 0, 0, axis=1)
             acc = np.zeros((len(sup), len(grids), m), dtype=dtype)
-            acc += lead[sup[:, 0], None, :]
-            for j in range(t - 1):
-                acc += table[grids[None, :, j] * k + sup[:, None, j + 1]]
-            acc %= dtype(p)
-            yield sup, grids, np.count_nonzero(acc, axis=2).reshape(-1)
+            if lead_one:
+                acc += table[sup[:, None, 0]]
+            for j in range(lead_one, t):
+                acc += table[grids[None, :, j] * n + sup[:, None, j]]
+            acc -= acc // dtype(p) * dtype(p)  # acc %= p; NumPy vectorizes integer division, not %
+            yield sup, grids, acc
 
 
 def _combination_chunks(n: int, t: int, rows: int):
@@ -557,28 +549,14 @@ def _syndrome_sketch(C: LinearCode) -> np.ndarray:
     return spec.digits_arr(scaled).reshape(spec.q - 1, C.n, -1)
 
 
-def _half_keys(rows, sup, grids, p, negate):
-    """int64 keys of the syndromes of every (support, unit grid) pair, support-major.
-
-    A key packs the GF(p) digits base p, lowest first, by Horner's rule in place.
-    """
-    dtype = np.min_scalar_type(sup.shape[1] * (p - 1)).type  # holds the unreduced sums
-    rows = rows.astype(dtype, copy=False)
-    step = max(1, (1 << 22) // (len(grids) * (rows.shape[2] + 1)))
-    out = np.zeros((len(sup), len(grids)), dtype=np.int64)
-    for lo in range(0, len(sup), step):
-        part = sup[lo : lo + step]
-        acc = np.zeros((len(part), len(grids), rows.shape[2]), dtype=dtype)
-        for j in range(sup.shape[1]):
-            acc += rows[grids[None, :, j], part[:, None, j]]
-        acc %= dtype(p)
-        if negate:
-            acc = (dtype(p) - acc) % dtype(p)
-        keys = out[lo : lo + step]
-        for d in range(rows.shape[2] - 1, -1, -1):
-            keys *= p
-            keys += acc[:, :, d]
-    return out.reshape(-1)
+def _keys(acc: np.ndarray, p: int) -> np.ndarray:
+    """int64 key of each entry of a _unit_sums block, support-major: its GF(p)
+    digits packed base p, lowest first, by Horner's rule in place."""
+    keys = np.zeros(acc.shape[:2], dtype=np.int64)
+    for d in range(acc.shape[2] - 1, -1, -1):
+        keys *= p
+        keys += acc[:, :, d]
+    return keys.reshape(-1)
 
 
 def syndrome_split_search(
@@ -588,11 +566,11 @@ def syndrome_split_search(
 
     Works over every field.  Each weight-w support splits uniquely into its
     ceil(w/2) lowest and floor(w/2) highest positions.  Both halves are
-    enumerated as arrays of syndrome keys (the low half with leading
-    coefficient 1, the high half negated), and a sorted join finds every
-    cancelling pair; a key match counts only once the word passes membership
-    in C, so each completed level is an exhaustive certificate.  When
-    is_cyclic(C) holds, only low halves whose lowest position is 0 are
+    enumerated by _unit_sums as arrays of syndrome keys (the low half with
+    leading coefficient 1, the high half negated), and a sorted join finds
+    every cancelling pair; a key match counts only once the word passes
+    membership in C, so each completed level is an exhaustive certificate.
+    When is_cyclic(C) holds, only low halves whose lowest position is 0 are
     enumerated: every word has a cyclic shift of equal weight whose support
     holds 0, and 0 is then in its low half.  Returns (excluded, word) like
     low_weight_search.  A level whose two half-tables would hold more than
@@ -603,37 +581,33 @@ def syndrome_split_search(
     """
     spec = C.spec
     budget = budget or SearchBudget()
-    n, p, units = C.n, spec.p, range(spec.q - 1)  # unit u is stored as u - 1
+    n, p = C.n, spec.p
     rows = cyclic = None
     for w in range(1, min(w_max, n) + 1):
         a, b = (w + 1) // 2, w // 2
         a_count = math.comb(n, a) * (spec.q - 1) ** (a - 1)
         b_count = math.comb(n, b) * (spec.q - 1) ** b
         # the high half peaks at four int64 per entry while bfirst is gathered
-        # (sorted key, order, order // len(bgrids), first position), plus b
-        # int64 positions per support
+        # (sorted key, order, order // bgrids, first position), plus b int64
+        # positions per support
         table_bytes = 8 * (4 * b_count + b * math.comb(n, b))
         if a_count + b_count > budget.steps or table_bytes > _SPLIT_TABLE_BYTES:
             return w - 1, None
         if rows is None:
             rows, cyclic = _syndrome_sketch(C), is_cyclic(C)
-        bgrids = np.array(list(itertools.product(units, repeat=b)), dtype=np.int64)
-        bsup = np.concatenate(list(_combination_chunks(n, b, 1 << 16)))
-        bkeys = _half_keys(rows, bsup, bgrids, p, negate=True)
+        bkeys, bsup = [], []
+        for sup, grids, acc in _unit_sums((p - rows) % p, n, b, p):  # negated syndromes
+            bkeys.append(_keys(acc, p))
+            if not grids[0].any():  # the grids start over: a new block of supports
+                bsup.append(sup)
+        bkeys, bsup, bgrids = np.concatenate(bkeys), np.concatenate(bsup), (spec.q - 1) ** b
         # stable, so within a run of equal keys the high halves start in
         # increasing position and the run's last entry starts latest
         order = np.argsort(bkeys, kind="stable")
         bkeys = bkeys[order]
-        bfirst = (bsup[:, 0] if b else np.full(len(bsup), n))[order // len(bgrids)]
-        agrids = np.array(list(itertools.product([0], *[units] * (a - 1))), dtype=np.int64)
-        arows = max(1, (1 << 18) // len(agrids))
-        if cyclic:  # the (a-1)-subsets of 1..n-1, each with 0 prepended
-            tails = _combination_chunks(n - 1, a - 1, arows)
-            achunks = (np.insert(tail + 1, 0, 0, axis=1) for tail in tails)
-        else:
-            achunks = _combination_chunks(n, a, arows)
-        for asup in achunks:
-            akeys = _half_keys(rows, asup, agrids, p, negate=False)
+        bfirst = (bsup[:, 0] if b else np.full(len(bsup), n))[order // bgrids]
+        for asup, agrids, acc in _unit_sums(rows, n, a, p, lead_one=True, through_zero=cyclic):
+            akeys = _keys(acc, p)
             aorder = np.argsort(akeys)  # sorted needles keep the searches cache-local
             lo = np.searchsorted(bkeys, akeys[aorder])
             hi = np.searchsorted(bkeys, akeys[aorder], side="right")
@@ -646,7 +620,8 @@ def syndrome_split_search(
                     y = order[pos]
                     word = np.zeros(n, dtype=np.int64)
                     word[asup[x // len(agrids)]] = agrids[x % len(agrids)] + 1
-                    word[bsup[y // len(bgrids)]] = bgrids[y % len(bgrids)] + 1
+                    bgrid = np.unravel_index(y % bgrids, (spec.q - 1,) * b)  # product order
+                    word[bsup[y // bgrids]] = np.add(bgrid, 1)
                     if word in C:  # equal keys may be a collision of the sketch
                         return w - 1, _verify_word(C, word, w)
     return w_max, None

@@ -29,6 +29,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import _gfmat
 from ._report import Cell, TableRow
 from .cartesian import (
     DefiningSet,
@@ -57,7 +58,7 @@ from .cyclotomic import (
     subfield_code,
     schur_subfield,
 )
-from .galois import _ilog, _order_mod, primitive_element
+from .galois import _ilog, _order_mod, make_field, primitive_element
 from .linear_code import (
     DistanceResult,
     LinearCode,
@@ -194,21 +195,14 @@ def transitivity_premises(
 
 
 def _additive_basis(spec, elems: list[int]) -> list[int] | None:
-    """A basis of `elems` as an additive group over the prime subfield, or
-    None when the set is not an additively closed subfield-subspace."""
-    target = set(elems)
-    if 0 not in target:
-        return None
-    span = {0}
-    basis: list[int] = []
-    for v in elems:
-        if v in span:
-            continue
-        basis.append(v)
-        span = {spec.add(s, spec.mul(c, v)) for s in span for c in range(spec.p)}
-        if not span <= target:
-            return None
-    return basis if span == target else None
+    """A basis of the distinct points `elems` as an additive group over the
+    prime subfield, or None when they are not an additively closed
+    subfield-subspace.  The pivot columns of the points' GF(p) digit vectors
+    are the greedy basis in the order of `elems`, and the points are closed
+    iff they number p^rank."""
+    digits = spec.digits_arr(elems).reshape(len(elems), spec.r)
+    pivots = _gfmat.rref(digits.T, make_field(spec.p, 1))[1]
+    return [elems[c] for c in pivots] if spec.p ** len(pivots) == len(elems) else None
 
 
 def _coordinate_maps(family: JAffineFamily):
@@ -289,21 +283,18 @@ def verify_transitive(
     ]
     if not preserving:
         return UNVERIFIED
-    seen = bytearray(n)
-    seen[0] = 1
-    frontier = [0]
-    count = 1
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for perm in preserving:
-                y = int(perm[x])
-                if not seen[y]:
-                    seen[y] = 1
-                    count += 1
-                    nxt.append(y)
-        frontier = nxt
-    return VERIFIED if count == n else UNVERIFIED
+    # coordinate 0's orbit, grown by its images under the generators and under
+    # their 2^i-th powers, so a long cycle is covered in log2(n) rounds; it is
+    # complete once the generators add nothing
+    gens = powers = np.stack(preserving)
+    orbit = np.zeros(n, dtype=bool)
+    orbit[0] = True
+    size = 0
+    while size < (size := np.count_nonzero(orbit)):
+        orbit[gens[:, orbit]] = True
+        orbit[powers[:, orbit]] = True
+        powers = np.take_along_axis(powers, powers, axis=1)
+    return VERIFIED if size == n else UNVERIFIED
 
 
 def _pair_transitivity(

@@ -613,6 +613,45 @@ def test_subfield_subcode_trivial_cases():
         subfield_subcode(C, 2)
 
 
+def _subfield_subcode_by_field_combination(C, s):
+    """S(C) with the fixed GF(p)-combinations of the basis x^t * row taken as
+    GF(q) sums: matmul over GF(q) for odd p, XOR of indices for p = 2."""
+    spec = C.spec
+    sub, to_sub = linear_code._subfield_relabel_maps(spec, s)
+    if C.k == 0:
+        return LinearCode.zero(sub, C.n)
+    B = np.concatenate([spec.scale_arr(spec.p**t, C.gen) for t in range(spec.r)])
+    D = spec.sub_arr(spec.frobenius_arr(B, spec.p**s), B)
+    lam = _gfmat.nullspace(spec.digits_arr(D).reshape(len(D), -1).T, make_field(spec.p, 1))
+    if spec.p != 2:
+        fixed = _gfmat.matmul(lam, B, spec)
+    else:
+        fixed = np.zeros((len(lam), C.n), dtype=np.int64)
+        for t in range(lam.shape[1]):
+            fixed[lam[:, t] != 0] ^= B[t]
+    return LinearCode(sub, to_sub[fixed]) if len(lam) else LinearCode.zero(sub, C.n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_subfield_subcode_combines_digits_in_every_characteristic(data):
+    # C mixes random rows with scaled rows over a subfield, so S(C) is often
+    # neither zero nor all of C's subfield part
+    q = data.draw(st.sampled_from([4, 8, 9, 16, 49, 64]), label="q")
+    spec = field_from_order(q)
+    s = data.draw(st.sampled_from([s for s in range(1, spec.r) if spec.r % s == 0]), label="s")
+    n = data.draw(st.integers(1, 7), label="n")
+    small = spec.subfield_indices(s).tolist()
+    rows = []
+    for _ in range(data.draw(st.integers(0, 4), label="k")):
+        sub = data.draw(st.booleans(), label="sub")
+        entry = st.sampled_from(small) if sub else st.integers(0, q - 1)
+        row = np.array(data.draw(st.lists(entry, min_size=n, max_size=n), label="row"))
+        rows.append(spec.scale_arr(data.draw(st.integers(1, q - 1), label="scale"), row))
+    C = LinearCode(spec, np.array(rows, dtype=np.int64).reshape(-1, n))
+    assert subfield_subcode(C, s) == _subfield_subcode_by_field_combination(C, s)
+
+
 def test_subfield_subcode_gf4_line():
     # span{(1, a, 0)} over GF(4) meets GF(2)^3 only in 0
     a = 2  # primitive element index
@@ -739,6 +778,9 @@ def test_symmetry_reduced_searches_agree_with_exhaustive(data):
         spec = field_from_order(q)
         C = _random_cyclic_code(data, spec)
         assert is_cyclic(C)
+        # k cyclically consecutive positions are an information set, so the
+        # window search reads its window off the stored RREF
+        assert C.pivots == list(range(C.k))
         d = exhaustive_min_weight(C).lower
         w = min(d + 1, 6)
         for search, top in (
@@ -782,22 +824,42 @@ def test_split_search_reduces_only_cyclic_codes():
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_window_kernel_enumerates_each_normalized_message_once(p):
-    # blocks of 12 entries split both the supports and the coefficient grids
+    # blocks of 12 digits split both the supports and the unit grids; the
+    # blocks' entries, concatenated, must be support-major, with supports in
+    # lexicographic order and grids in itertools.product order
     k, m = 4, 3
     Gout = np.random.default_rng(p).integers(0, p, size=(k, m))
+    rows = np.arange(1, p)[:, None, None] * Gout % p  # rows[u - 1, i] = u * Gout[i]
     messages = np.array(list(itertools.product(range(p), repeat=k)))
-    for t in range(1, k + 1):
-        seen = []
-        with mock.patch.object(linear_code, "_WINDOW_CELLS", 12):
-            for sup, grids, wts in linear_code._window_weights(Gout, t, p):
-                for i, (support, grid) in enumerate(itertools.product(sup, grids)):
-                    msg = np.zeros(k, dtype=np.int64)
-                    msg[support] = np.append(1, grid + 1)
-                    assert wts[i] == np.count_nonzero(msg @ Gout % p)
-                    seen.append(tuple(msg))
-        lead = messages[np.arange(len(messages)), np.argmax(messages != 0, axis=1)]
-        expected = messages[(np.count_nonzero(messages, axis=1) == t) & (lead == 1)]
-        assert sorted(seen) == sorted(map(tuple, expected))
+    lead = messages[np.arange(len(messages)), np.argmax(messages != 0, axis=1)]
+    for lead_one, through_zero in itertools.product((True, False), repeat=2):
+        for t in range(1, k + 1):
+            seen, msgs = [], []
+            with mock.patch.object(linear_code, "_BLOCK_CELLS", 12):
+                blocks = linear_code._unit_sums(
+                    rows, k, t, p, lead_one=lead_one, through_zero=through_zero
+                )
+                for sup, grids, acc in blocks:
+                    assert acc.shape == (len(sup), len(grids), m) and acc.size <= 12
+                    assert len(sup) == 1 or len(grids) == (p - 1) ** (t - lead_one)
+                    entries = zip(itertools.product(sup, grids), acc.reshape(-1, m))
+                    for (support, grid), sums in entries:
+                        msg = np.zeros(k, dtype=np.int64)
+                        msg[support] = grid + 1
+                        assert np.array_equal(sums, msg @ Gout % p)
+                        seen.append((tuple(support), tuple(grid)))
+                        msgs.append(tuple(msg))
+            expected = [
+                (support, grid)
+                for support in itertools.combinations(range(k), t)
+                if not through_zero or 0 in support
+                for grid in itertools.product(range(p - 1), repeat=t)
+                if not lead_one or grid[0] == 0
+            ]
+            assert seen == expected, (lead_one, through_zero, t)
+            if lead_one and not through_zero:  # each normalized message once
+                normalized = messages[(np.count_nonzero(messages, axis=1) == t) & (lead == 1)]
+                assert sorted(msgs) == sorted(map(tuple, normalized))
 
 
 def test_cyclic_window_memory_is_bounded():
@@ -843,7 +905,8 @@ SEARCH_FIELDS = [(2, 1), (3, 1), (2, 2), (7, 1), (2, 3), (3, 2)]
 @settings(max_examples=25, deadline=None)
 @given(st.data())
 def test_syndrome_split_agrees_with_exhaustive(data):
-    # one small random code per field, prime and extension
+    # one small random code per field, prime and extension; blocks of at
+    # most 40 digits split the high half's grid list over GF(8) and GF(9)
     for p, r in SEARCH_FIELDS:
         spec = make_field(p, r)
         n = data.draw(st.integers(2, 14 if spec.q <= 3 else 7), label="n")
@@ -853,8 +916,10 @@ def test_syndrome_split_agrees_with_exhaustive(data):
         if C.k == 0:
             continue
         d = exhaustive_min_weight(C).lower
+        cells = data.draw(st.sampled_from([linear_code._BLOCK_CELLS, 40]), label="cells")
         for search in (syndrome_split_search, low_weight_search):
-            excluded, word = search(C, d + 1)
+            with mock.patch.object(linear_code, "_BLOCK_CELLS", cells):
+                excluded, word = search(C, d + 1)
             if word is None:
                 assert excluded < d  # never a false exclusion
             else:

@@ -11,6 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from evalcode import pir
 from evalcode._report import check_report, columns_of
 from evalcode.cartesian import (
     DefiningSet,
@@ -219,6 +220,64 @@ def test_verify_transitive_size_guard():
     C = evaluate(f, DefiningSet(f, [(0, 0)]))
     with pytest.raises(ValueError, match="1024"):
         verify_transitive(C, family=f)
+
+
+def _additive_basis_by_span(spec, elems):
+    """The greedy basis of elems, growing the span one element at a time, or
+    None when elems is not an additively closed subfield-subspace."""
+    target = set(elems)
+    if 0 not in target:
+        return None
+    span, basis = {0}, []
+    for v in elems:
+        if v in span:
+            continue
+        basis.append(v)
+        span = {spec.add(s, spec.mul(c, v)) for s in span for c in range(spec.p)}
+        if not span <= target:
+            return None
+    return basis if span == target else None
+
+
+def _orbit_is_everything_by_bfs(n, perms):
+    """Breadth-first search of coordinate 0's orbit under perms."""
+    seen, frontier = {0}, [0]
+    while frontier:
+        frontier = [int(p[x]) for x in frontier for p in perms if int(p[x]) not in seen]
+        seen.update(frontier)
+    return len(seen) == n
+
+
+# the families of the stored PIR tables and of this file's tests
+_TRANSITIVITY_FAMILIES = [
+    ((7, 7), ()), ((7, 7, 7), ()), ((49,), (1,)), ((256,), (1,)), ((8, 8), (1, 2)),
+    ((128, 2), ()), ((256, 2), ()), ((16,), (1,)), ((64,), (1,)), ((4,), ()), ((4, 4), ()),
+    ((4, 2), ()), ((8,), (1,)), ((16, 6), ()), ((49, 7), ()), ((64, 64), ()), ((16, 16), ()),
+]
+
+
+def test_transitivity_arrays_match_set_references():
+    rng = random.Random(2024)
+    checked = {VERIFIED: 0, UNVERIFIED: 0}
+    for N, J in _TRANSITIVITY_FAMILIES:
+        f = fam(max(N), N, J)
+        for zs in f.root_lists():
+            zs = [int(v) for v in zs]
+            assert pir._additive_basis(f.spec, zs) == _additive_basis_by_span(f.spec, zs), (N, J)
+        if f.n_points > 1024:
+            continue
+        box = f.box()
+        degree_one = [tuple(int(i == j) for i in range(f.m)) for j in range(-1, f.m)]
+        for delta in [degree_one] + [rng.sample(box, size) for size in (1, 2, 3)]:
+            C = evaluate(f, DefiningSet(f, delta))
+            perms = pir._point_permutations(f, pir._coordinate_maps(f))
+            perms.append(np.roll(np.arange(C.n), 1))
+            preserving = [p for p in perms if LinearCode(C.spec, C.gen[:, p]) == C]
+            transitive = preserving and _orbit_is_everything_by_bfs(C.n, preserving)
+            expect = VERIFIED if transitive else UNVERIFIED
+            assert verify_transitive(C, perms) == expect, (N, J, delta)
+            checked[expect] += 1
+    assert min(checked.values()) >= 10, checked
 
 
 # ---------------------------------------------------------------- theorem scheme
