@@ -129,12 +129,23 @@ class JAffineFamily:
         units = np.array([j in self.J for j in range(1, self.m + 1)])
         return np.where(units | (e == 0), e % mod, (e - 1) % mod + 1)
 
-    def monomial_row(self, e: Sequence[int]) -> np.ndarray:
-        coords = self.coords()
-        row = np.ones(self.n_points, dtype=np.int64)
-        for j in range(self.m):
-            if e[j]:
-                row = self.spec.mul_arr(row, self.spec.pow_arr(coords[j], int(e[j])))
+    def monomial_row(self, e) -> np.ndarray:
+        """ev(X^e), or one row per exponent vector of an (..., m) array.
+
+        root_lists() puts h^0 .. h^(N_j - 2) after any zero point, so (h^i)^a is
+        unit a·i mod (N_j - 1) and 0^a is [a = 0]; one mul_arr per coordinate
+        spreads these factors over the points, in evaluation order."""
+        e = np.asarray(e, dtype=np.int64)
+        lead = e.shape[:-1]
+        row = np.ones(lead + (1,), dtype=np.int64)
+        for j, roots in enumerate(self.root_lists()):
+            mod = self.N[j] - 1
+            a = e[..., j, None]
+            factor = np.asarray(roots[len(roots) - mod :])[a % mod * np.arange(mod) % mod]
+            if len(roots) > mod:  # the zero point
+                factor = np.concatenate([(a == 0).astype(np.int64), factor], axis=-1)
+            outer = self.spec.mul_arr(row[..., :, None], factor[..., None, :])
+            row = outer.reshape(lead + (outer.shape[-2] * outer.shape[-1],))
         return row
 
     def __eq__(self, other):
@@ -245,8 +256,7 @@ def evaluate(family: JAffineFamily, delta: DefiningSet) -> LinearCode:
         raise ValueError("defining set belongs to a different family")
     if len(delta) == 0:
         return LinearCode.zero(family.spec, family.n_points)
-    rows = np.stack([family.monomial_row(e) for e in delta])
-    C = LinearCode(family.spec, rows)
+    C = LinearCode(family.spec, family.monomial_row(np.argwhere(delta.mask)))
     assert C.k == len(delta), "monomial evaluation must be injective"
     return C
 
@@ -267,44 +277,32 @@ def minkowski_schur(family: JAffineFamily, d1: DefiningSet, d2: DefiningSet) -> 
     return DefiningSet.from_mask(family, mask)
 
 
-def nonzero_pairing_partners(family: JAffineFamily, e: Sequence[int]) -> list[set[int]]:
-    """Per-coordinate sets B_j: ev(X^e)·ev(X^b) pairs nonzero iff b_j in B_j for all j.
-
-    On a multiplicative coordinate (j in J) the character sum over the units is
-    nonzero only at the single complementary exponent.  On a full affine
-    coordinate the zero point contributes, so the boundary exponents 0 and
-    N_j-1 behave specially, and exponent 0 pairs with itself iff p does not
-    divide N_j.
-    """
-    out = []
-    for j, (ej, Nj) in enumerate(zip(e, family.N), start=1):
-        if j in family.J:
-            out.append({(Nj - 1 - ej) % (Nj - 1)})
-        elif 0 < ej < Nj - 1:
-            out.append({Nj - 1 - ej})
-        elif ej == 0:
-            b = {Nj - 1}
-            if Nj % family.spec.p != 0:
-                b.add(0)
-            out.append(b)
-        else:  # ej == Nj - 1
-            out.append({0, Nj - 1})
-    return out
-
-
 def delta_dual(family: JAffineFamily, delta: DefiningSet) -> DefiningSet:
     """Exponents whose evaluations are orthogonal to all of C_Δ.
 
-    evaluate(delta_dual(Δ)) ⊆ dual(evaluate(Δ)) always; equality holds exactly
-    when the removed partner sets cover n_J - |Δ| distinct exponents — in
-    particular whenever Δ ⊆ E' and p | N_j for every j not in J, where each
-    partner set is the componentwise complement singleton.
+    On coordinate j, a and b pair nonzero iff the sum of z^(a+b) over Z_j is
+    nonzero: iff a + b ≡ 0 mod N_j - 1 on a units coordinate (j in J), and on
+    a full one iff a + b = N_j - 1, or a = b = N_j - 1, or a = b = 0 with p ∤ N_j.
+    Monomials pair nonzero iff every coordinate does, so the rule maps Δ's
+    mask one axis at a time (a take by the complement map, then the diagonal
+    entries on a full coordinate) onto the paired exponents; the dual is the
+    rest of the box.
+
+    evaluate(delta_dual(Δ)) ⊆ dual(evaluate(Δ)) always, with equality iff the
+    paired set has |Δ| members — in particular whenever Δ ⊆ E' and p | N_j for
+    every j not in J, where the rule is the componentwise complement.
     """
     if delta.family != family:
         raise ValueError("defining set belongs to a different family")
-    paired = np.zeros(family.shape, dtype=bool)
-    for e in delta:
-        paired[np.ix_(*(sorted(b) for b in nonzero_pairing_partners(family, e)))] = True
+    paired = delta.mask
+    for axis, Nj in enumerate(family.N):
+        if axis + 1 in family.J:
+            paired = np.take(paired, -np.arange(Nj - 1) % (Nj - 1), axis=axis)
+        else:
+            flipped = np.take(paired, Nj - 1 - np.arange(Nj), axis=axis)
+            diag = (slice(None),) * axis + ([Nj - 1] + ([0] if Nj % family.spec.p else []),)
+            flipped[diag] |= paired[diag]
+            paired = flipped
     return DefiningSet.from_mask(family, ~paired)
 
 

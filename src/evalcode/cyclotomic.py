@@ -162,28 +162,26 @@ def subfield_code(family: JAffineFamily, qprime: int, delta: DefiningSet) -> Lin
     if not is_coset_closed(family, qprime, delta):
         e = next(e for e in delta if any(x not in delta for x in orbit_of(family, qprime, e)))
         raise ValueError(f"set is not closed: orbit of {e} leaves it")
-    first: dict[int, tuple[int, ...]] = {}
-    for k, e in zip(_ranks(family, qprime, delta).tolist(), delta):
-        first.setdefault(k, e)  # Δ is sorted: an orbit's first member is its least
-    sizes = np.bincount(_orbit_ranks(family, qprime).ravel())
+    rank = _orbit_ranks(family, qprime)
+    flat = rank.ravel()
+    # ranks count representatives in C order, so an entry is its orbit's
+    # representative iff its rank exceeds every earlier one
+    lead = delta.mask & (np.diff(np.maximum.accumulate(flat), prepend=-1) > 0).reshape(rank.shape)
+    sizes = np.bincount(flat)[rank[lead]]
+    bases = family.monomial_row(np.argwhere(lead))
     rows = []
-    for k, rep in first.items():
-        ia = int(sizes[k])
+    for ia in sorted(set(sizes.tolist())):  # one pass per orbit length
         ext = qprime**ia - 1
         assert (spec.q - 1) % ext == 0, "orbit length must give a subfield of GF(q)"
         xi = spec.pow(spec._gidx, (spec.q - 1) // ext) if ext > 1 else 1
-        base = family.monomial_row(rep)
-        coef = 1
-        for _ in range(ia):
-            u = spec.scale_arr(coef, base)
-            acc = u.copy()
-            for _ in range(ia - 1):
-                u = spec.frobenius_arr(u, qprime)
-                acc = spec.add_arr(acc, u)
-            assert np.all(to_sub[acc] >= 0), "trace rows must land in the subfield"
-            rows.append(to_sub[acc])
-            coef = spec.mul(coef, xi)
-    C = LinearCode(sub, np.stack(rows))
+        coefs = np.array([spec.pow(xi, s) for s in range(ia)], dtype=np.int64)
+        u = acc = spec.mul_arr(coefs[:, None, None], bases[sizes == ia][None])
+        for _ in range(ia - 1):
+            u = spec.frobenius_arr(u, qprime)
+            acc = spec.add_arr(acc, u)
+        rows.append(to_sub[acc].reshape(-1, family.n_points))
+        assert np.all(rows[-1] >= 0), "trace rows must land in the subfield"
+    C = LinearCode(sub, np.concatenate(rows))
     assert C.k == len(delta), "trace rows must form a basis"
     return C
 

@@ -169,29 +169,29 @@ def contains(outer: LinearCode, inner: LinearCode) -> bool:
     )
 
 
-def puncture(C: LinearCode, positions: Iterable[int]) -> LinearCode:
+def _positions(C: LinearCode, positions: Iterable[int], op: str) -> list[int]:
+    """The distinct positions, sorted, after checking each lies in range(C.n)."""
     pos = sorted(set(int(i) for i in positions))
     if pos and not (0 <= pos[0] and pos[-1] < C.n):
-        raise IndexError(f"puncture position out of range for length {C.n}")
-    keep = [i for i in range(C.n) if i not in set(pos)]
-    return LinearCode(C.spec, C.gen[:, keep])
+        raise IndexError(f"{op} position out of range for length {C.n}")
+    return pos
+
+
+def puncture(C: LinearCode, positions: Iterable[int]) -> LinearCode:
+    return LinearCode(C.spec, np.delete(C.gen, _positions(C, positions, "puncture"), axis=1))
 
 
 def shorten(C: LinearCode, positions: Iterable[int]) -> LinearCode:
-    pos = sorted(set(int(i) for i in positions))
-    if pos and not (0 <= pos[0] and pos[-1] < C.n):
-        raise IndexError(f"shorten position out of range for length {C.n}")
+    pos = _positions(C, positions, "shorten")
     if not pos:
         return LinearCode(C.spec, C.gen)
     if C.k == 0:
         return LinearCode.zero(C.spec, C.n - len(pos))
-    sub = C.gen[:, pos]  # k x |pos|
-    coeffs = _gfmat.nullspace(sub.T, C.spec)  # rows x with x @ sub == 0
-    keep = [i for i in range(C.n) if i not in set(pos)]
+    coeffs = _gfmat.nullspace(C.gen[:, pos].T, C.spec)  # rows x with x @ gen[:, pos] == 0
     if coeffs.shape[0] == 0:
-        return LinearCode.zero(C.spec, len(keep))
+        return LinearCode.zero(C.spec, C.n - len(pos))
     rows = _gfmat.matmul(coeffs, C.gen, C.spec)
-    return LinearCode(C.spec, rows[:, keep])
+    return LinearCode(C.spec, np.delete(rows, pos, axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -612,7 +612,10 @@ def syndrome_split_search(
             lo = np.searchsorted(bkeys, akeys[aorder])
             hi = np.searchsorted(bkeys, akeys[aorder], side="right")
             alast = asup[aorder // len(agrids), -1]
-            for i in np.flatnonzero((hi > lo) & (bfirst[hi - 1] > alast)):
+            # matches in enumeration order, so the word is the first low half
+            # with a verified completion whatever the block size
+            cand = np.flatnonzero((hi > lo) & (bfirst[hi - 1] > alast))
+            for i in cand[np.argsort(aorder[cand])]:
                 x = aorder[i]
                 for pos in range(hi[i] - 1, lo[i] - 1, -1):
                     if bfirst[pos] <= alast[i]:

@@ -389,14 +389,7 @@ def te_pir_subfield(
     return PirScheme.of(C, D, CD, privacy, _pair_transitivity(family, qprime, dC, C, dD, D))
 
 
-def one_var_scheme(
-    N: int,
-    qprime: int,
-    variant: str = "multiples",
-    i: int = 1,
-    *,
-    budget: SearchBudget | None = None,
-) -> PirScheme:
+def one_var_scheme(N: int, qprime: int, variant: str = "multiples", i: int = 1) -> PirScheme:
     """One-variable cyclic scheme on the q'^r - 1 points of the punctured
     line, where r is the multiplicative order of q' modulo N.
 

@@ -1,5 +1,9 @@
+import functools
+import gc
 import itertools
+import math
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -22,12 +26,12 @@ from evalcode.cartesian import (
     full_affine_family,
     is_decreasing,
     minkowski_schur,
-    nonzero_pairing_partners,
     point_set,
     rm_distance,
     wrm_nesting,
 )
-from evalcode.galois import make_field
+from evalcode.csst import _VII_ROWS
+from evalcode.galois import FieldSpec, make_field
 from test_acceptance import _ORACLE_POOL
 
 
@@ -149,6 +153,88 @@ def test_evaluate_empty_and_mismatch():
         evaluate(f, DefiningSet(g, [(0,)]))
 
 
+def scalar_rows(f, delta):
+    """ev(X^e) for each e in Δ, point by point with the polynomial-level
+    field arithmetic, over point_set(f)."""
+    spec = f.spec
+    power = functools.lru_cache(maxsize=None)(spec._raw_pow)
+    rows = []
+    for e in delta:
+        row = []
+        for pt in point_set(f):
+            v = 1
+            for x, ej in zip(pt, e):
+                v = spec._raw_mul(v, power(x.idx, ej))
+            row.append(v)
+        rows.append(row)
+    return np.array(rows, dtype=np.int64).reshape(len(rows), f.n_points)
+
+
+# N_j = 2 on a units coordinate (box side 1) and on a full one
+EDGE_FAMILIES = [(4, [2, 4], [1]), (4, [2, 2], [2]), (9, [3, 2, 2], [1, 3]), (7, [2, 7, 3], [1])]
+
+
+@st.composite
+def mixed_families(draw):
+    q = draw(st.sampled_from([2, 3, 4, 5, 7, 8, 9, 16]))
+    N = []
+    for _ in range(draw(st.integers(2, 3))):
+        N.append(draw(st.sampled_from([d + 1 for d in range(1, q) if (q - 1) % d == 0])))
+    while math.prod(N) > 256:
+        N.pop()
+    J = draw(st.sets(st.integers(1, len(N))))
+    return q, N, J
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(st.sampled_from(EDGE_FAMILIES), mixed_families()), st.data())
+def test_evaluate_matches_scalar_powers(family, data):
+    f = fam(*family)
+    box = f.box()
+    delta = DefiningSet(f, data.draw(st.lists(st.sampled_from(box), max_size=12), label="Δ"))
+    rows = scalar_rows(f, delta)
+    assert np.array_equal(f.monomial_row(np.argwhere(delta.mask)), rows)
+    assert all(np.array_equal(f.monomial_row(e), row) for e, row in zip(delta, rows))
+    C = evaluate(f, delta)
+    assert C.k == len(delta)
+    if len(delta):
+        assert C == linear_code.LinearCode(f.spec, rows)
+
+
+def test_whole_set_operations_make_no_per_exponent_call(monkeypatch):
+    # VII's m = 9 square: 494 exponents on the binary m = 9 grid
+    m, _, s, _, _ = next(row for row in _VII_ROWS if row[0] == 9)
+    d1 = delta_wrm(2, m, s, (1,) + (2,) * (m - 1))
+    f = d1.family
+    sq = minkowski_schur(f, d1, d1)
+    assert len(sq) == 494
+    mul_calls = []
+    mul_arr = FieldSpec.mul_arr
+    monkeypatch.setattr(
+        FieldSpec, "mul_arr", lambda self, a, b: mul_calls.append(1) or mul_arr(self, a, b)
+    )
+    assert evaluate(f, sq).k == 494
+    assert len(mul_calls) <= m
+
+    def calls(delta):
+        count = [0]
+
+        def profile(frame, event, arg):
+            if event in ("call", "c_call"):
+                count[0] += 1
+
+        gc.disable()  # a collection would profile the gc callbacks of other tools
+        sys.setprofile(profile)
+        try:
+            delta_dual(f, delta)
+        finally:
+            sys.setprofile(None)
+            gc.enable()
+        return count[0]
+
+    assert calls(sq) == calls(DefiningSet(f, [sq.elems[0]]))
+
+
 # ---------------------------------------------------------------- Minkowski
 
 
@@ -249,13 +335,47 @@ def test_dual_inexact_when_point_count_not_divisible():
     assert E.k < D.k and all(row in D for row in E.gen)
 
 
+def paired_set(f, e):
+    """Exponents pairing nonzero with X^e: the box minus delta_dual({e})."""
+    return set(f.box()) - set(delta_dual(f, DefiningSet(f, [e])))
+
+
 def test_partner_sets_affine_boundaries():
     f = fam(16, [4], J=[])
-    assert nonzero_pairing_partners(f, (0,)) == [{3}]  # 2 | 4: no self-pairing
-    assert nonzero_pairing_partners(f, (3,)) == [{0, 3}]
-    assert nonzero_pairing_partners(f, (1,)) == [{2}]
+    assert paired_set(f, (0,)) == {(3,)}  # 2 | 4: no self-pairing
+    assert paired_set(f, (3,)) == {(0,), (3,)}
+    assert paired_set(f, (1,)) == {(2,)}
     g = fam(49, [3], J=[])
-    assert nonzero_pairing_partners(g, (0,)) == [{0, 2}]  # 7 does not divide 3
+    assert paired_set(g, (0,)) == {(0,), (2,)}  # 7 does not divide 3
+    h = fam(16, [4, 16], J=[2])  # a product of the per-coordinate sets
+    assert paired_set(h, (3, 5)) == {(0, 10), (3, 10)}
+
+
+CHARACTER_SUM_FAMILIES = [
+    (q, N, J)
+    for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16)
+    for N in range(2, q + 1)
+    if (q - 1) % (N - 1) == 0
+    for J in ((), (1,))
+]
+
+
+@pytest.mark.parametrize(
+    "q,N,J", CHARACTER_SUM_FAMILIES, ids=[f"q{q}-N{N}-J{list(J)}" for q, N, J in CHARACTER_SUM_FAMILIES]
+)
+def test_pairing_rule_matches_character_sums(q, N, J):
+    # a and b pair nonzero iff the sum of z^(a+b) over the points is nonzero,
+    # summed with scalar field arithmetic (0^0 = 1)
+    f = fam(q, [N], J)
+    spec, points = f.spec, f.root_lists()[0]
+    for a in range(f.shape[0]):
+        sums = {}
+        for b in range(f.shape[0]):
+            total = 0
+            for z in points:
+                total = spec.add(total, spec.pow(z, a + b))
+            sums[(b,)] = total
+        assert paired_set(f, (a,)) == {b for b, total in sums.items() if total}
 
 
 # ---------------------------------------------------------------- footprint

@@ -27,7 +27,6 @@ from evalcode.cartesian import (
     hyperbolic_shell,
     is_decreasing,
     minkowski_schur,
-    nonzero_pairing_partners,
 )
 from evalcode.csst import jaffine_csst, jaffine_csst_strict
 from evalcode.cyclotomic import closure
@@ -39,10 +38,35 @@ def ref_minkowski_schur(family, d1, d2):
     return {family.bar_reduce([x + y for x, y in zip(a, b)]) for a in d1 for b in d2}
 
 
+def ref_pairing_partners(family, e):
+    """Per-coordinate sets B_j: ev(X^e)·ev(X^b) pairs nonzero iff b_j in B_j for all j.
+
+    On a multiplicative coordinate (j in J) the character sum over the units is
+    nonzero only at the single complementary exponent.  On a full affine
+    coordinate the zero point contributes, so the boundary exponents 0 and
+    N_j-1 behave specially, and exponent 0 pairs with itself iff p does not
+    divide N_j.
+    """
+    out = []
+    for j, (ej, Nj) in enumerate(zip(e, family.N), start=1):
+        if j in family.J:
+            out.append({(Nj - 1 - ej) % (Nj - 1)})
+        elif 0 < ej < Nj - 1:
+            out.append({Nj - 1 - ej})
+        elif ej == 0:
+            b = {Nj - 1}
+            if Nj % family.spec.p != 0:
+                b.add(0)
+            out.append(b)
+        else:  # ej == Nj - 1
+            out.append({0, Nj - 1})
+    return out
+
+
 def ref_delta_dual(family, delta):
     bad = set()
     for e in delta:
-        bad.update(itertools.product(*nonzero_pairing_partners(family, e)))
+        bad.update(itertools.product(*ref_pairing_partners(family, e)))
     return [e for e in family.box() if e not in bad]
 
 

@@ -403,8 +403,12 @@ def test_puncture_shorten():
     for row in S.gen:
         full = np.concatenate([[0], row])
         assert full in C
-    with pytest.raises(IndexError):
-        puncture(C, [9])
+    assert puncture(C, [2, 0, 2]) == puncture(C, [0, 2])
+    assert shorten(C, [2, 0, 2]) == shorten(C, [0, 2])
+    for op in (puncture, shorten):
+        for bad in ([9], [7], [-1], [0, 7]):
+            with pytest.raises(IndexError, match=op.__name__):
+                op(C, bad)
 
 
 def test_min_distance_hamming():
@@ -925,6 +929,33 @@ def test_syndrome_split_agrees_with_exhaustive(data):
             else:
                 assert int(np.count_nonzero(word)) == d and excluded == d - 1
                 assert word in C
+
+
+# the three shapes whose words depended on the block size when matches were
+# taken in key order, and five more
+SPLIT_SHAPES = [
+    (32, 15, 2, 1), (32, 18, 3, 1), (9, 2, 7, 1), (40, 20, 2, 1),
+    (20, 9, 2, 2), (14, 6, 2, 3), (24, 12, 3, 1), (16, 8, 5, 1),
+]
+
+
+def test_syndrome_split_word_is_independent_of_block_size():
+    # the word is the first low half, in enumeration order, with a verified
+    # completion, so 2 000-digit blocks return the word that 2^21 does
+    for seed in range(25):
+        for n, k, p, r in SPLIT_SHAPES:
+            spec = make_field(p, r)
+            C = LinearCode(spec, np.random.default_rng(seed).integers(0, spec.q, size=(k, n)))
+            runs = []
+            for cells in (1 << 21, 2000):
+                with mock.patch.object(linear_code, "_BLOCK_CELLS", cells):
+                    runs.append(syndrome_split_search(C, 6))
+            (excluded, word), (excluded2, word2) = runs
+            assert excluded == excluded2
+            assert (word is None) == (word2 is None)
+            if word is not None:
+                assert np.array_equal(word, word2)
+                assert int(np.count_nonzero(word)) == excluded + 1 and word in C
 
 
 def test_syndrome_split_budget_degrades_honestly():
