@@ -10,6 +10,10 @@ table path's pivot update takes its row multiples as row gathers
 off a basis that is the identity on an information set, and makes its second
 elimination on the side with fewer rows.
 
+Membership has one rule: an RREF R is the identity on its pivot columns, so
+a row of V lies in R's row space iff its row of residual(R, pivots, V) =
+V - V[:, pivots] @ R is zero; in_row_space asks it of a vector or a matrix.
+
 Schur products (schur_rows) are deduplicated exactly on byte keys, one per
 product row: GF(2) rows are bit-packed and multiplied by a bytewise AND, and
 other fields key the int64 product rows of FieldSpec.mul_arr.
@@ -109,18 +113,18 @@ def rref(M: np.ndarray, spec: FieldSpec) -> tuple[np.ndarray, list[int]]:
     return _rref_generic(M, spec)
 
 
-def reduce_vector(R: np.ndarray, pivots: list[int], v: np.ndarray, spec: FieldSpec) -> np.ndarray:
-    """Residual of v after elimination against an RREF basis; row i alone is
-    nonzero in pivot column i, so its multiplier is -v there."""
-    res = np.array(v, dtype=np.int64)
-    for i, c in enumerate(spec.neg_arr(res[pivots]).tolist()):
-        if c:
-            res = spec.add_arr(res, spec.scale_arr(c, R[i]))
-    return res
+def residual(R: np.ndarray, pivots: list[int], V: np.ndarray, spec: FieldSpec) -> np.ndarray:
+    """V - V[:, pivots] @ R for R in RREF, a vector or matrix V; it multiplies
+    only the rows of R that some row of V uses."""
+    V = np.asarray(V, dtype=np.int64)
+    coef = np.atleast_2d(V)[:, pivots]
+    used = np.any(coef, axis=0)
+    return spec.sub_arr(V, matmul(coef[:, used], R[used], spec).reshape(V.shape))
 
 
 def in_row_space(R: np.ndarray, pivots: list[int], v: np.ndarray, spec: FieldSpec) -> bool:
-    return not np.any(reduce_vector(R, pivots, v, spec))
+    """Whether v, or every row of a matrix v, lies in the row space of R."""
+    return not np.any(residual(R, pivots, v, spec))
 
 
 def _dual_basis(S: np.ndarray, pivots: list[int], spec: FieldSpec) -> np.ndarray:

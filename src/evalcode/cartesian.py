@@ -20,7 +20,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from evalcode import _gfmat
 from evalcode.galois import FieldElement, FieldError, FieldSpec, make_field, subgroup_roots
 from evalcode.galois import _ilog, _prime_factors
 from evalcode.linear_code import LinearCode

@@ -3,7 +3,7 @@
 A code-spec file is JSON with the following shape (unknown keys are rejected)::
 
     {
-      "ambient": {"p": 2, "r": 4},          # the field GF(p^r)
+      "ambient": {"p": 2, "r": 4},          # the field GF(p^r): p prime, r >= 1
       "family": {"m": 2, "N": [16, 4], "J": []},
       "subfield": 1,                        # optional: take the GF(p^s) subcode
       "delta": [[0, 0], [1, 0]]             # explicit exponent vectors, or:
@@ -34,6 +34,7 @@ from evalcode.cartesian import (
     delta_hyperbolic,
     delta_rm,
     delta_wrm,
+    evaluate,
     field_from_order,
     footprint_distance,
     is_decreasing,
@@ -41,15 +42,16 @@ from evalcode.cartesian import (
 )
 from evalcode.csst import is_csst_pair, jaffine_csst, wrm_csst
 from evalcode.cyclotomic import closure, is_coset_closed, schur_subfield, subfield_code
+from evalcode.galois import _prime_factors
 from evalcode.linear_code import (
     DistanceResult,
     LinearCode,
     SearchBudget,
-    dual,
     min_distance,
     schur,
 )
 from evalcode.pir import (
+    TRANSITIVITY_MAX_N,
     UNVERIFIED,
     transitivity_premises,
     verify_transitive,
@@ -85,8 +87,15 @@ def _require(obj: dict, key: str, where: str):
     return obj[key]
 
 
+def _int(obj: dict, key: str, where: str) -> int:
+    val = _require(obj, key, where)
+    if type(val) is not int:  # a bool, float or string is not an integer
+        raise SpecError(f"{where}.{key}: expected an integer, got {val!r}")
+    return val
+
+
 def _int_list(val, where: str) -> list[int]:
-    if not isinstance(val, list) or not all(isinstance(x, int) for x in val):
+    if not isinstance(val, list) or not all(type(x) is int for x in val):
         raise SpecError(f"{where}: expected a list of integers")
     return val
 
@@ -109,15 +118,17 @@ class CodeSpec:
 
         ambient = _require(raw, "ambient", path)
         _reject_unknown(ambient, {"p", "r"}, f"{path}: ambient")
-        self.p = int(_require(ambient, "p", f"{path}: ambient"))
-        self.r = int(_require(ambient, "r", f"{path}: ambient"))
-        if self.p < 2 or self.r < 1:
-            raise SpecError(f"{path}: ambient: need p >= 2 and r >= 1")
+        self.p = _int(ambient, "p", f"{path}: ambient")
+        self.r = _int(ambient, "r", f"{path}: ambient")
+        if _prime_factors(self.p) != [self.p]:
+            raise SpecError(f"{path}: ambient.p: {self.p} is not a prime")
+        if self.r < 1:
+            raise SpecError(f"{path}: ambient.r: need r >= 1, got {self.r}")
         self.q = self.p**self.r
 
         fam = _require(raw, "family", path)
         _reject_unknown(fam, {"m", "N", "J"}, f"{path}: family")
-        self.m = int(_require(fam, "m", f"{path}: family"))
+        self.m = _int(fam, "m", f"{path}: family")
         self.N = tuple(_int_list(_require(fam, "N", f"{path}: family"), f"{path}: family.N"))
         self.J = tuple(_int_list(fam.get("J", []), f"{path}: family.J"))
         if len(self.N) != self.m:
@@ -172,14 +183,14 @@ class CodeSpec:
                 )
         if gen == "rm":
             _reject_unknown(raw, {"generator", "degree"}, where)
-            made = delta_rm(self.q, self.m, int(_require(raw, "degree", where)))
+            made = delta_rm(self.q, self.m, _int(raw, "degree", where))
         elif gen == "wrm":
             _reject_unknown(raw, {"generator", "degree", "weights"}, where)
             weights = _int_list(_require(raw, "weights", where), f"{where}.weights")
-            made = delta_wrm(self.q, self.m, int(_require(raw, "degree", where)), weights)
+            made = delta_wrm(self.q, self.m, _int(raw, "degree", where), weights)
         elif gen == "hyperbolic":
             _reject_unknown(raw, {"generator", "threshold"}, where)
-            made = delta_hyperbolic(self.q, self.m, int(_require(raw, "threshold", where)))
+            made = delta_hyperbolic(self.q, self.m, _int(raw, "threshold", where))
         elif gen == "cosets":
             _reject_unknown(raw, {"generator", "seeds"}, where)
             if self.qprime is None:
@@ -198,8 +209,6 @@ class CodeSpec:
 
     def build_code(self, family: JAffineFamily, delta: DefiningSet) -> LinearCode:
         if self.qprime is None or self.qprime == self.q:
-            from evalcode.cartesian import evaluate
-
             return evaluate(family, delta)
         if not is_coset_closed(family, self.qprime, delta):
             missing = len(closure(family, self.qprime, delta)) - len(delta)
@@ -351,7 +360,7 @@ def cmd_verify_pir_transitive(args) -> int:
     delta = spec.build_delta(family)
     status = transitivity_premises(family, delta, spec.qprime)
     orbit_checked = None
-    if status == UNVERIFIED and family.n_points <= 1024:
+    if status == UNVERIFIED and family.n_points <= TRANSITIVITY_MAX_N:
         C = spec.build_code(family, delta)
         status = verify_transitive(C, family=family)
         orbit_checked = status != UNVERIFIED

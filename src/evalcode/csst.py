@@ -20,6 +20,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from evalcode import _gfmat
 from evalcode._report import Cell, TableRow
 from evalcode.cartesian import (
     DefiningSet,
@@ -83,25 +84,15 @@ def _relative_weight_bound(A: LinearCode, B: LinearCode, budget: SearchBudget) -
     otherwise falls back to a certified bound on wt(A).
     """
     spec = A.spec
-    stacked = np.vstack([B.gen, _complement_rows(A, B)]) if B.k else A.gen
+    # A's rows less their part in B vanish on B's pivot columns, where no
+    # nonzero word of B does, so their RREF rows extend B's basis to A's
+    rest = _gfmat.rref(_gfmat.residual(B.gen, B.pivots, A.gen, spec), spec)[0]
     # messages from q^{k_B} on have a digit outside B's rows
-    found = min_weight_from(stacked, spec, spec.q**B.k)
+    found = min_weight_from(np.vstack([B.gen, rest]), spec, spec.q**B.k)
     if found is not None:
         return found[0], "relative-exhaustive"
     res = min_distance(A, budget)
     return res.lower, "wt(A) lower bound" if not res.exact else "wt(A) exact"
-
-
-def _complement_rows(A: LinearCode, B: LinearCode) -> np.ndarray:
-    """Rows extending a basis of B to one of A (B ⊆ A).
-
-    A's rows reduced against B's RREF vanish on B's pivot columns, and no
-    nonzero word of B does, so their nonzero RREF rows are independent of B.
-    """
-    from evalcode import _gfmat
-
-    residual = A.spec.sub_arr(A.gen, _gfmat.matmul(A.gen[:, B.pivots], B.gen, A.spec))
-    return _gfmat.rref(residual, A.spec)[0]
 
 
 def css_params(C1: LinearCode, C2: LinearCode, budget: SearchBudget | None = None) -> CssTParams:

@@ -164,9 +164,7 @@ def contains(outer: LinearCode, inner: LinearCode) -> bool:
         raise FieldError("containment needs codes of equal length over one field")
     if inner.k > outer.k:
         return False
-    return all(
-        _gfmat.in_row_space(outer.gen, outer.pivots, row, outer.spec) for row in inner.gen
-    )
+    return _gfmat.in_row_space(outer.gen, outer.pivots, inner.gen, outer.spec)
 
 
 def _positions(C: LinearCode, positions: Iterable[int], op: str) -> list[int]:

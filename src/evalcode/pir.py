@@ -11,7 +11,10 @@ Three transitivity grades qualify how server symmetry was established:
 ``proved-by-structure`` (the defining set satisfies a structural criterion
 that forces a transitive permutation group), ``verified-by-permutations``
 (an explicit permutation subgroup was checked to preserve the code and act
-transitively), and ``unverified``.
+transitively), and ``unverified``.  The explicit check's candidates are
+index arrays over the points (see _coordinate_permutations); one keeps a code
+iff its permuted generator lies in the code's row space, which at equal
+dimension is equality.
 
 ``table(kind)`` rebuilds the stored benchmark tables cell by cell; distance
 cells carry certified lower bounds together with matching codewords wherever
@@ -58,7 +61,7 @@ from .cyclotomic import (
     subfield_code,
     schur_subfield,
 )
-from .galois import _ilog, _order_mod, make_field, primitive_element
+from .galois import _ilog, _order_mod, make_field
 from .linear_code import (
     DistanceResult,
     LinearCode,
@@ -91,6 +94,9 @@ VERIFIED = "verified-by-permutations"
 UNVERIFIED = "unverified"
 
 _STATUS_RANK = {PROVED: 2, VERIFIED: 1, UNVERIFIED: 0}
+
+# verify_transitive refuses longer codes, and its callers skip them
+TRANSITIVITY_MAX_N = 1024
 
 
 def combine_transitivity(a: str, b: str) -> str:
@@ -205,44 +211,29 @@ def _additive_basis(spec, elems: list[int]) -> list[int] | None:
     return [elems[c] for c in pivots] if spec.p ** len(pivots) == len(elems) else None
 
 
-def _coordinate_maps(family: JAffineFamily):
-    """Candidate coordinate symmetries: per-coordinate scalings by a root of
-    unity of maximal order, and translations by an additive basis whenever
-    the coordinate's point set is additively closed."""
-    spec = family.spec
-    g = primitive_element(spec).idx
-    maps = []  # (coordinate index, {point value -> point value})
-    for j in range(family.m):
-        Nj = family.N[j]
-        zs = [int(v) for v in family.root_lists()[j]]
-        zset = set(zs)
-        if Nj > 1 and (spec.q - 1) % (Nj - 1) == 0:
-            u = spec.pow(g, (spec.q - 1) // (Nj - 1))
-            if u != 1:
-                table = {v: spec.mul(u, v) for v in zs}
-                if set(table.values()) == zset:
-                    maps.append((j, table))
-        if (j + 1) not in family.J:
-            basis = _additive_basis(spec, zs)
-            for t in basis or ():
-                maps.append((j, {v: spec.add(v, t) for v in zs}))
-    return maps
-
-
-def _point_permutations(family: JAffineFamily, maps) -> list[np.ndarray]:
-    """Turn per-coordinate value maps into permutations of the flat point
-    index (points are enumerated in row-major product order)."""
-    roots = family.root_lists()
-    sizes = [len(r) for r in roots]
-    n = family.n_points
+def _coordinate_permutations(family: JAffineFamily) -> list[np.ndarray]:
+    """Per coordinate j, as permutations of the flat (row-major) point index:
+    the scaling by h, which shifts the unit indices cyclically and fixes the
+    zero point because root_lists() lists h^0 .. h^(N_j - 2) after it; and,
+    when Z_j is additively closed, the translation by each element of an
+    additive basis, a gather through the root list's inverse."""
+    sizes = family.zsizes()
+    flat = np.arange(family.n_points, dtype=np.int64)
     perms = []
-    for j, table in maps:
+    for j, zs in enumerate(family.root_lists()):
+        units = family.N[j] - 1
+        zero = len(zs) - units  # 1 when the zero point comes first
+        maps = []
+        if units > 1:
+            maps.append(np.concatenate([np.arange(zero), zero + (np.arange(units) + 1) % units]))
+        if (j + 1) not in family.J:
+            index_of = np.zeros(family.spec.q, dtype=np.int64)
+            index_of[zs] = np.arange(len(zs))
+            for t in _additive_basis(family.spec, zs) or ():
+                maps.append(index_of[family.spec.add_arr(np.asarray(zs), t)])
         stride = math.prod(sizes[j + 1 :])
-        index_of = {int(v): i for i, v in enumerate(roots[j])}
-        mapped = np.array([index_of[table[int(v)]] for v in roots[j]], dtype=np.int64)
-        flat = np.arange(n, dtype=np.int64)
-        cj = (flat // stride) % sizes[j]
-        perms.append(flat + (mapped[cj] - cj) * stride)
+        cj = flat // stride % sizes[j]
+        perms.extend(flat + (mapped[cj] - cj) * stride for mapped in maps)
     return perms
 
 
@@ -257,14 +248,15 @@ def verify_transitive(
     Candidate permutations come from explicit `generators` (arrays mapping
     position i to its image) and/or from the structural symmetries of the
     point grid when `family` is given.  A candidate counts only if it maps
-    the code onto itself (checked on row spaces); the verdict is
-    ``verified-by-permutations`` exactly when the accepted permutations move
-    coordinate 0 onto every coordinate.  A failed search returns
-    ``unverified`` — this routine can miss symmetries but never invents one.
+    the code onto itself (its permuted generator lies in the row space); the
+    verdict is ``verified-by-permutations`` exactly when the accepted
+    permutations move coordinate 0 onto every coordinate.  A failed search
+    returns ``unverified`` — this routine can miss symmetries but never
+    invents one.
     """
     n = code.n
-    if n > 1024:
-        raise ValueError("transitivity verification is capped at length 1024")
+    if n > TRANSITIVITY_MAX_N:
+        raise ValueError(f"transitivity verification is capped at length {TRANSITIVITY_MAX_N}")
     if n == 1:
         return VERIFIED
     perms: list[np.ndarray] = []
@@ -277,10 +269,9 @@ def verify_transitive(
     if family is not None:
         if family.n_points != n:
             raise ValueError("family point count does not match code length")
-        perms.extend(_point_permutations(family, _coordinate_maps(family)))
-    preserving = [
-        perm for perm in perms if LinearCode(code.spec, code.gen[:, perm]) == code
-    ]
+        perms.extend(_coordinate_permutations(family))
+    gen, pivots, spec = code.gen, code.pivots, code.spec
+    preserving = [perm for perm in perms if _gfmat.in_row_space(gen, pivots, gen[:, perm], spec)]
     if not preserving:
         return UNVERIFIED
     # coordinate 0's orbit, grown by its images under the generators and under
@@ -310,7 +301,7 @@ def _pair_transitivity(
     grades = []
     for delta, code in ((dC, C), (dD, D)):
         g = transitivity_premises(family, delta, qprime)
-        if g == UNVERIFIED and family.n_points <= 1024:
+        if g == UNVERIFIED and family.n_points <= TRANSITIVITY_MAX_N:
             g = verify_transitive(code, family=family)
         grades.append(g)
     return combine_transitivity(*grades)

@@ -117,6 +117,29 @@ def test_missing_key_and_syntax_errors_are_anchored(tmp_path, capsys):
     assert "broken.json:1:" in err  # line:column anchor
 
 
+@pytest.mark.parametrize(
+    "ambient, key",
+    [({"p": 4, "r": 2}, "ambient.p"), ({"p": 4, "r": 1}, "ambient.p"),
+     ({"p": 2.9, "r": 1}, "ambient.p"), ({"p": 2, "r": "4"}, "ambient.r"),
+     ({"p": True, "r": 1}, "ambient.p")],
+)
+def test_ambient_needs_integer_prime_and_degree(tmp_path, capsys, ambient, key):
+    path = spec_file(tmp_path, {**COSET_SPEC, "ambient": ambient})
+    for argv in (("build", path), ("subfield", path, "--degree", "1")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert path in err and key in err
+
+
+def test_generator_parameters_and_lists_must_be_integers(tmp_path, capsys):
+    bad = {**FULL_BINARY_7, "delta": {"generator": "rm", "degree": 1.5}}
+    code, _, err = run(capsys, "build", spec_file(tmp_path, bad))
+    assert code == 2 and "delta.degree" in err
+    bad = {**COSET_SPEC, "family": {"m": 1, "N": [16], "J": [True]}}  # not coordinate 1
+    code, _, err = run(capsys, "build", spec_file(tmp_path, bad))
+    assert code == 2 and "family.J" in err
+
+
 def test_delta_out_of_range_rejected(tmp_path, capsys):
     bad = {**REP_SPEC, "delta": [[99, 0]]}
     code, _, err = run(capsys, "build", spec_file(tmp_path, bad))

@@ -383,6 +383,104 @@ def test_library_calls_no_numpy_set_routine():
     assert not calls
 
 
+def test_library_imports_only_at_module_level():
+    # an import inside a function hides a dependency from the module header;
+    # no module of the library needs one to break a cycle
+    nested = []
+    for path in sorted(Path(linear_code.__file__).parent.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                nested += [
+                    f"{path.name}:{node.lineno}"
+                    for node in ast.walk(fn)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                ]
+    assert not nested
+
+
+def reduce_vector(R, pivots, v, spec):
+    """Residual of v after elimination against an RREF basis, one pivot at a
+    time: row i alone is nonzero in pivot column i, so its multiplier is -v
+    there.  The reference for _gfmat.residual."""
+    res = np.array(v, dtype=np.int64)
+    for i, c in enumerate(spec.neg_arr(res[pivots]).tolist()):
+        if c:
+            res = spec.add_arr(res, spec.scale_arr(c, R[i]))
+    return res
+
+
+RESIDUAL_FIELDS = [(2, 1), (3, 1), (2, 2), (7, 1), (2, 3), (3, 2), (7, 2), (2, 6)]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_residual_agrees_with_pivot_by_pivot_reduction(data):
+    # V with 0, 1 or many rows: members (dense combinations and single-row
+    # multiples), random rows, sparse words and members plus a sparse word;
+    # R may be the zero code
+    for p, r in RESIDUAL_FIELDS:
+        spec = make_field(p, r)
+        n = data.draw(st.integers(1, 16), label="n")
+        k = data.draw(st.one_of(st.just(0), st.integers(0, n)), label="k")
+        elem = st.integers(0, spec.q - 1)
+
+        def vector(size, label):
+            entries = data.draw(st.lists(elem, min_size=size, max_size=size), label=label)
+            return np.array(entries, dtype=np.int64)
+
+        C = LinearCode(spec, vector(k * n, "G").reshape(k, n))
+
+        def sparse():
+            word = np.zeros(n, dtype=np.int64)
+            for _ in range(data.draw(st.integers(1, 2), label="weight")):
+                word[data.draw(st.integers(0, n - 1), label="pos")] = data.draw(elem, label="value")
+            return word
+
+        def member():
+            if C.k and data.draw(st.booleans(), label="one row"):
+                i = data.draw(st.integers(0, C.k - 1), label="row")
+                return spec.scale_arr(data.draw(elem, label="scalar"), C.gen[i])
+            return _gfmat.matmul(vector(C.k, "message")[None], C.gen, spec)[0]
+
+        kinds = {
+            "member": member,
+            "random": lambda: vector(n, "word"),
+            "sparse": sparse,
+            "member+sparse": lambda: spec.add_arr(member(), sparse()),
+        }
+        rows = data.draw(st.one_of(st.sampled_from([0, 1]), st.integers(2, 12)), label="rows")
+        V = np.zeros((rows, n), dtype=np.int64)
+        for i in range(rows):
+            V[i] = kinds[data.draw(st.sampled_from(sorted(kinds)), label="kind")]()
+        expect = np.array([reduce_vector(C.gen, C.pivots, v, spec) for v in V]).reshape(rows, n)
+        assert np.array_equal(_gfmat.residual(C.gen, C.pivots, V, spec), expect), (spec.q, C.gen, V)
+        members = ~expect.any(axis=1)
+        for v, e, is_member in zip(V, expect, members):
+            assert np.array_equal(_gfmat.residual(C.gen, C.pivots, v, spec), e)
+            assert _gfmat.in_row_space(C.gen, C.pivots, v, spec) == is_member
+            assert (v in C) == is_member
+        assert _gfmat.in_row_space(C.gen, C.pivots, V, spec) == members.all()
+        assert contains(C, LinearCode(spec, V)) == members.all()
+        assert _gfmat.in_row_space(C.gen, C.pivots, V[members], spec)
+        assert contains(C, LinearCode(spec, V[members]))
+
+
+def test_residual_multiplies_only_the_rows_it_uses(monkeypatch):
+    C = LinearCode(F7, np.random.default_rng(7).integers(0, 7, (40, 64)))
+    used = []
+
+    def recording_matmul(A, B, spec):
+        used.append(len(B))
+        return matmul(A, B, spec)
+
+    matmul = _gfmat.matmul
+    monkeypatch.setattr(_gfmat, "matmul", recording_matmul)
+    word = F7.add_arr(F7.scale_arr(3, C.gen[3]), C.gen[17])
+    assert word in C
+    assert not _gfmat.residual(C.gen, C.pivots, np.stack([word, F7.scale_arr(2, C.gen[3])]), F7).any()
+    assert used == [2, 2]
+
+
 def test_contains_and_membership():
     C = hamming74()
     sub = LinearCode(F2, C.gen[:2])

@@ -28,6 +28,7 @@ from evalcode.cyclotomic import (
     schur_subfield,
     subfield_code,
 )
+from evalcode.galois import primitive_element
 from evalcode.linear_code import LinearCode, dual, schur
 from evalcode.pir import (
     PROVED,
@@ -239,6 +240,45 @@ def _additive_basis_by_span(spec, elems):
     return basis if span == target else None
 
 
+def _coordinate_maps(family):
+    """Per-coordinate value maps {point -> point}: the scaling by a root of
+    unity of maximal order, and the translations by an additive basis
+    whenever the coordinate's point set is additively closed."""
+    spec = family.spec
+    g = primitive_element(spec).idx
+    maps = []  # (coordinate index, {point value -> point value})
+    for j in range(family.m):
+        Nj = family.N[j]
+        zs = [int(v) for v in family.root_lists()[j]]
+        if Nj > 1 and (spec.q - 1) % (Nj - 1) == 0:
+            u = spec.pow(g, (spec.q - 1) // (Nj - 1))
+            if u != 1:
+                table = {v: spec.mul(u, v) for v in zs}
+                assert set(table.values()) == set(zs)
+                maps.append((j, table))
+        if (j + 1) not in family.J:
+            basis = _additive_basis_by_span(spec, zs)
+            for t in basis or ():
+                maps.append((j, {v: spec.add(v, t) for v in zs}))
+    return maps
+
+
+def _point_permutations(family, maps):
+    """Per-coordinate value maps as permutations of the flat point index
+    (points are enumerated in row-major product order)."""
+    roots = family.root_lists()
+    sizes = [len(r) for r in roots]
+    perms = []
+    for j, table in maps:
+        stride = math.prod(sizes[j + 1 :])
+        index_of = {int(v): i for i, v in enumerate(roots[j])}
+        mapped = np.array([index_of[table[int(v)]] for v in roots[j]], dtype=np.int64)
+        flat = np.arange(family.n_points, dtype=np.int64)
+        cj = (flat // stride) % sizes[j]
+        perms.append(flat + (mapped[cj] - cj) * stride)
+    return perms
+
+
 def _orbit_is_everything_by_bfs(n, perms):
     """Breadth-first search of coordinate 0's orbit under perms."""
     seen, frontier = {0}, [0]
@@ -248,12 +288,23 @@ def _orbit_is_everything_by_bfs(n, perms):
     return len(seen) == n
 
 
-# the families of the stored PIR tables and of this file's tests
+# the families of the stored PIR tables and of this file's tests; the table
+# builds reach the permutation search on (8, 8) with J = {1, 2}, (49,) and
+# (256,) with J = {1}, and (128, 2) and (256, 2)
 _TRANSITIVITY_FAMILIES = [
     ((7, 7), ()), ((7, 7, 7), ()), ((49,), (1,)), ((256,), (1,)), ((8, 8), (1, 2)),
     ((128, 2), ()), ((256, 2), ()), ((16,), (1,)), ((64,), (1,)), ((4,), ()), ((4, 4), ()),
     ((4, 2), ()), ((8,), (1,)), ((16, 6), ()), ((49, 7), ()), ((64, 64), ()), ((16, 16), ()),
 ]
+
+
+def test_coordinate_permutations_match_value_map_references():
+    for N, J in _TRANSITIVITY_FAMILIES:
+        f = fam(max(N), N, J)
+        got = pir._coordinate_permutations(f)
+        expect = _point_permutations(f, _coordinate_maps(f))
+        assert len(got) == len(expect) and all(map(np.array_equal, got, expect)), (N, J)
+        assert all(np.array_equal(np.sort(p), np.arange(f.n_points)) for p in got), (N, J)
 
 
 def test_transitivity_arrays_match_set_references():
@@ -270,7 +321,7 @@ def test_transitivity_arrays_match_set_references():
         degree_one = [tuple(int(i == j) for i in range(f.m)) for j in range(-1, f.m)]
         for delta in [degree_one] + [rng.sample(box, size) for size in (1, 2, 3)]:
             C = evaluate(f, DefiningSet(f, delta))
-            perms = pir._point_permutations(f, pir._coordinate_maps(f))
+            perms = _point_permutations(f, _coordinate_maps(f))
             perms.append(np.roll(np.arange(C.n), 1))
             preserving = [p for p in perms if LinearCode(C.spec, C.gen[:, p]) == C]
             transitive = preserving and _orbit_is_everything_by_bfs(C.n, preserving)
