@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -53,7 +54,7 @@ class JAffineFamily:
         self.T = tuple(
             Nj - 2 if j in self.J else Nj - 1 for j, Nj in enumerate(self.N, start=1)
         )
-        self.shape = tuple(t + 1 for t in self.T)
+        self.shape = tuple(t + 1 for t in self.T)  # T_j + 1 = |Z_j| on every coordinate
         self._coords = None
         self._root_lists = None
         self._footprints = None
@@ -62,10 +63,7 @@ class JAffineFamily:
 
     @property
     def n_points(self) -> int:
-        out = 1
-        for j, Nj in enumerate(self.N, start=1):
-            out *= (Nj - 1) if j in self.J else Nj
-        return out
+        return math.prod(self.shape)
 
     def box(self) -> list[tuple[int, ...]]:
         """E_J, the full exponent box, in lexicographic order."""
@@ -93,15 +91,10 @@ class JAffineFamily:
             self._coords = [g.reshape(-1) for g in grids]
         return self._coords
 
-    def zsizes(self) -> tuple[int, ...]:
-        return tuple(
-            (Nj - 1) if j in self.J else Nj for j, Nj in enumerate(self.N, start=1)
-        )
-
     def footprints(self) -> np.ndarray:
         """prod_j (|Z_j| - e_j) at every box entry: the footprint of each monomial."""
         if self._footprints is None:
-            axes = (np.arange(z, z - t - 1, -1) for z, t in zip(self.zsizes(), self.T))
+            axes = (np.arange(z, z - t - 1, -1) for z, t in zip(self.shape, self.T))
             fp = functools.reduce(np.multiply, np.ix_(*axes))
             fp.flags.writeable = False
             self._footprints = fp

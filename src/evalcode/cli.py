@@ -50,12 +50,7 @@ from evalcode.linear_code import (
     min_distance,
     schur,
 )
-from evalcode.pir import (
-    TRANSITIVITY_MAX_N,
-    UNVERIFIED,
-    transitivity_premises,
-    verify_transitive,
-)
+from evalcode.pir import PROVED, TRANSITIVITY_MAX_N, UNVERIFIED, grade_transitivity
 
 _TABLE_KINDS = {
     "I": pir.table,
@@ -208,7 +203,7 @@ class CodeSpec:
         return DefiningSet.from_mask(family, made.mask)
 
     def build_code(self, family: JAffineFamily, delta: DefiningSet) -> LinearCode:
-        if self.qprime is None or self.qprime == self.q:
+        if _is_evaluation_code(family, self.qprime):
             return evaluate(family, delta)
         if not is_coset_closed(family, self.qprime, delta):
             missing = len(closure(family, self.qprime, delta)) - len(delta)
@@ -217,6 +212,12 @@ class CodeSpec:
                 f"q' = {self.qprime}; the closure adds {missing} exponents"
             )
         return subfield_code(family, self.qprime, delta)
+
+
+def _is_evaluation_code(family: JAffineFamily, qprime: int | None) -> bool:
+    """Whether the code of a defining set over GF(qprime) is C_delta itself:
+    no subfield, or the subfield is the whole field."""
+    return qprime is None or qprime == family.spec.q
 
 
 def _distance_summary(
@@ -228,7 +229,7 @@ def _distance_summary(
 ) -> DistanceResult | None:
     if C.k == 0:
         return None
-    if delta is not None and qprime is None and is_decreasing(delta):
+    if delta is not None and _is_evaluation_code(family, qprime) and is_decreasing(delta):
         d = footprint_distance(family, delta)
         return DistanceResult(d, d, how="footprint bound with matching witness")
     return min_distance(C, budget)
@@ -358,17 +359,17 @@ def cmd_verify_pir_transitive(args) -> int:
     spec = CodeSpec(args.spec)
     family = spec.build_family()
     delta = spec.build_delta(family)
-    status = transitivity_premises(family, delta, spec.qprime)
-    orbit_checked = None
-    if status == UNVERIFIED and family.n_points <= TRANSITIVITY_MAX_N:
-        C = spec.build_code(family, delta)
-        status = verify_transitive(C, family=family)
-        orbit_checked = status != UNVERIFIED
+    status = grade_transitivity(
+        family, delta, lambda: spec.build_code(family, delta), spec.qprime
+    )
+    # the code is built and its orbit checked only when the premises fail
+    # and the length permits
+    searched = status != PROVED and family.n_points <= TRANSITIVITY_MAX_N
     cert = {
         "kind": "pir-transitive",
         "n": family.n_points,
         "status": status,
-        "orbit_checked": orbit_checked,
+        "orbit_checked": status != UNVERIFIED if searched else None,
     }
     print(json.dumps(cert, indent=2, sort_keys=True))
     return 0 if status != UNVERIFIED else 1
@@ -377,7 +378,7 @@ def cmd_verify_pir_transitive(args) -> int:
 def cmd_schur(args) -> int:
     s1, s2, family, d1, d2, C1, C2 = _load_pair(args.c1, args.c2)
     CD = schur(C1, C2)
-    if s1.qprime is None and s2.qprime is None:
+    if _is_evaluation_code(family, s1.qprime) and _is_evaluation_code(family, s2.qprime):
         delta = minkowski_schur(family, d1, d2)
         name, predicted = "minkowski dimension", len(delta)
     else:

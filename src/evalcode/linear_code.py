@@ -199,49 +199,24 @@ def shorten(C: LinearCode, positions: Iterable[int]) -> LinearCode:
 def _subfield_relabel_maps(spec: FieldSpec, s: int) -> tuple[FieldSpec, np.ndarray]:
     """The index map from GF(p^s) inside spec to the canonical GF(p^s).
 
-    The subfield copy inside GF(p^r) is generated by g^((q-1)/(q'-1)); it is
-    identified with the standalone field by sending that generator to the least
-    root of its minimal polynomial over GF(p) — a field isomorphism either way.
+    The subfield copy inside GF(p^r) is the powers of g_in = g^((q-1)/(q'-1)).
+    For each primitive c of GF(p^s) in index order, g_in^t -> c^t is
+    multiplicative; it is kept once it sends x + 1 to phi(x) + 1 on the
+    subfield, which makes it additive too, as phi(x + y) = phi(y)(phi(x/y) + 1).
+    The isomorphisms are the roots of g_in's minimal polynomial over GF(p), so
+    the map kept sends g_in to the least root.
     """
     sub = make_field(spec.p, s)
-    qp = sub.q
+    units = np.arange(sub.q - 1)
+    inner = spec._exp[units * ((spec.q - 1) // (sub.q - 1))]  # g_in^t
     to_sub = np.full(spec.q, -1, dtype=np.int64)
     to_sub[0] = 0
-    if qp == 2:
-        to_sub[1] = 1
-        return sub, to_sub
-    g_in = spec.pow(spec._gidx, (spec.q - 1) // (qp - 1))
-    # minimal polynomial of g_in over GF(p): prod over conjugates (X - g_in^{p^t})
-    conj, x = [], g_in
-    while True:
-        conj.append(x)
-        x = spec.pow(x, spec.p)
-        if x == g_in:
-            break
-    poly = [1]  # coefficients in spec, ascending
-    for c in conj:
-        nxt = [0] * (len(poly) + 1)
-        for i, a in enumerate(poly):
-            nxt[i + 1] = spec.add(nxt[i + 1], a)
-            nxt[i] = spec.sub(nxt[i], spec.mul(a, c))
-        poly = nxt
-    assert all(v < spec.p for v in poly), "minimal polynomial must have prime-field coefficients"
-    root = None
-    for cand in range(1, qp):
-        acc, powc = 0, 1
-        for coef in poly:
-            acc = sub.add(acc, sub.mul(coef, powc))
-            powc = sub.mul(powc, cand)
-        if acc == 0:
-            root = cand
-            break
-    assert root is not None
-    a_in, a_out = 1, 1
-    for _ in range(qp - 1):
-        to_sub[a_in] = a_out
-        a_in = spec.mul(a_in, g_in)
-        a_out = sub.mul(a_out, root)
-    return sub, to_sub
+    for c in range(1, sub.q):
+        if sub.order(c) == sub.q - 1:
+            to_sub[inner] = sub._exp[units * sub._log[c] % (sub.q - 1)]
+            if np.array_equal(to_sub[spec.add_arr(inner, 1)], sub.add_arr(to_sub[inner], 1)):
+                return sub, to_sub
+    raise AssertionError("no primitive element of the subfield is an isomorphic image")
 
 
 def subfield_subcode(C: LinearCode, s: int) -> LinearCode:

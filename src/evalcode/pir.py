@@ -11,10 +11,13 @@ Three transitivity grades qualify how server symmetry was established:
 ``proved-by-structure`` (the defining set satisfies a structural criterion
 that forces a transitive permutation group), ``verified-by-permutations``
 (an explicit permutation subgroup was checked to preserve the code and act
-transitively), and ``unverified``.  The explicit check's candidates are
-index arrays over the points (see _coordinate_permutations); one keeps a code
-iff its permuted generator lies in the code's row space, which at equal
-dimension is equality.
+transitively), and ``unverified``.  One rule, `grade_transitivity`, grades
+every code of every scheme here: the structural premises first, then, when
+they fail and n <= TRANSITIVITY_MAX_N, the explicit check.  That check's
+candidates are index arrays over the points (see _coordinate_permutations);
+one keeps a code iff its permuted generator lies in the code's row space,
+which at equal dimension is equality.  A scheme whose codes have no family
+to grade on, such as one from `pir_params`, stays ``unverified``.
 
 ``table(kind)`` rebuilds the stored benchmark tables cell by cell; distance
 cells carry certified lower bounds together with matching codewords wherever
@@ -29,6 +32,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 import numpy as np
 
@@ -84,6 +88,7 @@ __all__ = [
     "pir_params",
     "transitivity_premises",
     "verify_transitive",
+    "grade_transitivity",
     "te_pir_subfield",
     "one_var_scheme",
     "table",
@@ -95,7 +100,7 @@ UNVERIFIED = "unverified"
 
 _STATUS_RANK = {PROVED: 2, VERIFIED: 1, UNVERIFIED: 0}
 
-# verify_transitive refuses longer codes, and its callers skip them
+# verify_transitive refuses longer codes, and grade_transitivity skips them
 TRANSITIVITY_MAX_N = 1024
 
 
@@ -148,18 +153,13 @@ class PirScheme:
         return f"{int(self.storage_rate * self.n)}/{self.n}"
 
 
-def pir_params(
-    C: LinearCode,
-    D: LinearCode,
-    budget: SearchBudget | None = None,
-    *,
-    transitivity: str = UNVERIFIED,
-) -> PirScheme:
+def pir_params(C: LinearCode, D: LinearCode, budget: SearchBudget | None = None) -> PirScheme:
     """Scheme parameters for an arbitrary storage/retrieval pair.
 
     The rate is exact (a rank computation on the star product); privacy is
     the certified lower bound on d(D^perp) - 1 that `min_distance` can
-    establish within the given budget.
+    establish within the given budget.  The pair carries no family to grade
+    on, so the scheme's transitivity is ``unverified``.
     """
     if C.spec.q != D.spec.q or C.n != D.n:
         raise ValueError("storage and retrieval codes must share a field and length")
@@ -167,7 +167,7 @@ def pir_params(
     dres = min_distance(dual(D), budget)
     if dres.lower < 2:
         raise ValueError("retrieval code gives no certified privacy: d(D^perp) bound is 1")
-    return PirScheme.of(C, D, CD, dres.lower - 1, transitivity)
+    return PirScheme.of(C, D, CD, dres.lower - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +217,7 @@ def _coordinate_permutations(family: JAffineFamily) -> list[np.ndarray]:
     zero point because root_lists() lists h^0 .. h^(N_j - 2) after it; and,
     when Z_j is additively closed, the translation by each element of an
     additive basis, a gather through the root list's inverse."""
-    sizes = family.zsizes()
+    sizes = family.shape
     flat = np.arange(family.n_points, dtype=np.int64)
     perms = []
     for j, zs in enumerate(family.root_lists()):
@@ -288,23 +288,21 @@ def verify_transitive(
     return VERIFIED if size == n else UNVERIFIED
 
 
-def _pair_transitivity(
+def grade_transitivity(
     family: JAffineFamily,
-    qprime: int | None,
-    dC: DefiningSet,
-    C: LinearCode,
-    dD: DefiningSet,
-    D: LinearCode,
+    delta: DefiningSet,
+    code: LinearCode | Callable[[], LinearCode],
+    qprime: int | None = None,
 ) -> str:
-    """Best certified grade for the (C, D) pair: structural criteria first,
-    explicit permutation search as a fallback where the length permits."""
-    grades = []
-    for delta, code in ((dC, C), (dD, D)):
-        g = transitivity_premises(family, delta, qprime)
-        if g == UNVERIFIED and family.n_points <= TRANSITIVITY_MAX_N:
-            g = verify_transitive(code, family=family)
-        grades.append(g)
-    return combine_transitivity(*grades)
+    """The transitivity grade of the code of `delta` on `family` (its subfield
+    code when `qprime` is given): the structural premises first, then the
+    permutation search on `code` when they fail and the length permits.
+    `code` may be a function that builds the code; it is called only when the
+    search runs."""
+    grade = transitivity_premises(family, delta, qprime)
+    if grade == UNVERIFIED and family.n_points <= TRANSITIVITY_MAX_N:
+        grade = verify_transitive(code() if callable(code) else code, family=family)
+    return grade
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +375,10 @@ def te_pir_subfield(
     else:  # fall back to a generic certificate if the structural bound fails
         privacy = min_distance(Dd, budget).lower - 1
 
-    return PirScheme.of(C, D, CD, privacy, _pair_transitivity(family, qprime, dC, C, dD, D))
+    grade = combine_transitivity(
+        grade_transitivity(family, dC, C, qprime), grade_transitivity(family, dD, D, qprime)
+    )
+    return PirScheme.of(C, D, CD, privacy, grade)
 
 
 def one_var_scheme(N: int, qprime: int, variant: str = "multiples", i: int = 1) -> PirScheme:
@@ -422,7 +423,10 @@ def one_var_scheme(N: int, qprime: int, variant: str = "multiples", i: int = 1) 
     bound = dual_bch_bound(family, qprime, dD)
     assert bound >= designed + 1
     assert CD.k <= len(dC) * len(dD)
-    return PirScheme.of(C, D, CD, bound - 1, _pair_transitivity(family, qprime, dC, C, dD, D))
+    grade = combine_transitivity(
+        grade_transitivity(family, dC, C, qprime), grade_transitivity(family, dD, D, qprime)
+    )
+    return PirScheme.of(C, D, CD, bound - 1, grade)
 
 
 # ---------------------------------------------------------------------------
@@ -523,6 +527,7 @@ def _table_affine(m: int, fixture, columns) -> list[TableRow]:
     dC = delta_rm(7, m, 1)
     C = evaluate(fam, dC)
     d_C = footprint_distance(fam, dC)
+    tC = grade_transitivity(fam, dC, C)
     rows = []
     for style, s, values, corrections in fixture:
         dD = delta_rm(7, m, s) if style == "shaded" else delta_dual(fam, delta_hyperbolic(7, m, s))
@@ -538,10 +543,8 @@ def _table_affine(m: int, fixture, columns) -> list[TableRow]:
         if "d_CD" in columns:
             distances["d_CD"] = footprint_distance(fam, dCD)
             distances["d_CDperp"] = footprint_distance(fam, delta_dual(fam, dCD))
-        scheme = PirScheme.of(
-            C, D, CD, distances["d_Dperp"] - 1,
-            combine_transitivity(transitivity_premises(fam, dC), transitivity_premises(fam, dD)),
-        )
+        tD = grade_transitivity(fam, dD, D)
+        scheme = PirScheme.of(C, D, CD, distances["d_Dperp"] - 1, combine_transitivity(tC, tD))
         printed = {"k_C": m + 1, "d_C": 6 * 7 ** (m - 1), **dict(zip(columns, values))}
         rows.append(_row(f"s={s}", style, scheme, printed, distances, corrections))
     return rows
@@ -656,7 +659,7 @@ def _table_cyclic48() -> list[TableRow]:
     fam = JAffineFamily(field_from_order(49), (49,), (1,))
     dC = closure(fam, 7, DefiningSet(fam, [(24,), (25,)]))
     C = subfield_code(fam, 7, dC)
-    tC = verify_transitive(C, family=fam)
+    tC = grade_transitivity(fam, dC, C, 7)
 
     famA = full_affine_family(7, 2)
     CA = evaluate(famA, delta_rm(7, 2, 1))
@@ -674,7 +677,7 @@ def _table_cyclic48() -> list[TableRow]:
                 dual(D), corrections.get("d_Dperp", printed["d_Dperp"]),
                 _CYC48_STRATEGY.get(key, "bch"), budget, family=fam, qprime=7, delta=dD,
             )
-            tD = verify_transitive(D, family=fam)
+            tD = grade_transitivity(fam, dD, D, 7)
             scheme = PirScheme.of(C, D, CD, res.lower - 1, combine_transitivity(tC, tD))
             label = f"b{key}"
         else:
@@ -695,6 +698,7 @@ def _table_cyclic48() -> list[TableRow]:
             # (whole-code distance s), and the witness survives restriction.
             assert int(np.count_nonzero(restricted)) == s and restricted in Dpd
             res = s
+            # the punctured codes lie on no family, so the scheme stays unverified
             scheme = PirScheme.of(Cp, Dp, schur(Cp, Dp), s - 1)
             label = f"s={s}"
         printed["k_C"] = 3
@@ -725,7 +729,7 @@ def _table_IV() -> list[TableRow]:
     assert is_coset_closed(fam, 2, dC)
     C = subfield_code(fam, 2, dC)
     d_C = exhaustive_min_weight(C)
-    tC = verify_transitive(C, family=fam)
+    tC = grade_transitivity(fam, dC, C, 2)
     rows = []
     for i, *values in _TABLE_IV_ROWS:
         printed = dict(zip(_TABLE_IV_COLUMNS, values))
@@ -735,7 +739,7 @@ def _table_IV() -> list[TableRow]:
         assert CD.k == len(schur_subfield(fam, 2, dC, dD))
         bound = dual_bch_bound(fam, 2, dD)
         res = min_distance(dual(D), lower=bound, target=printed["d_Dperp"])
-        tD = transitivity_premises(fam, dD, 2)
+        tD = grade_transitivity(fam, dD, D, 2)
         scheme = PirScheme.of(C, D, CD, res.lower - 1, combine_transitivity(tC, tD))
         printed.update(k_C=3, d_C=85, rate=printed["k_CDperp"])
         rows.append(_row(f"i={i}", "bold", scheme, printed, {"d_C": d_C, "d_Dperp": res}, {}))
@@ -763,7 +767,7 @@ def _table_berman49() -> list[TableRow]:
     fam = JAffineFamily(field_from_order(8), (8, 8), (1, 2))
     dC = DefiningSet(fam, [(0, 0)])
     C = subfield_code(fam, 2, dC)
-    tC = verify_transitive(C, family=fam)
+    tC = grade_transitivity(fam, dC, C, 2)
     rows = []
     for label, style, seeds, values in _BERMAN_ROWS:
         printed = {"k_C": 1, "storage_rate": 1, **dict(zip(_BERMAN_COLUMNS, values))}
@@ -772,7 +776,7 @@ def _table_berman49() -> list[TableRow]:
         res = min_distance(dual(D), target=printed["d_Dperp"])
         CD = schur(C, D)
         assert CD == D  # the storage code is the repetition code
-        tD = verify_transitive(D, family=fam)
+        tD = grade_transitivity(fam, dD, D, 2)
         scheme = PirScheme.of(C, D, CD, res.lower - 1, combine_transitivity(tC, tD))
         distances = {"d_D": exhaustive_min_weight(D), "d_Dperp": res}
         rows.append(_row(label, style, scheme, printed, distances, {}))
@@ -805,7 +809,7 @@ def _table_rm_comparison() -> list[TableRow]:
             D = evaluate(fam, dD)
             d_exact = footprint_distance(fam, delta_dual(fam, dD))
             res = DistanceResult(d_exact, d_exact, how="footprint distance")
-            tD = transitivity_premises(fam, dD)
+            qprime = None
         else:
             fam = JAffineFamily(field_from_order(2**r), (2**r, 2), ())
             dC = DefiningSet(fam, [(0, 0)])
@@ -815,12 +819,13 @@ def _table_rm_comparison() -> list[TableRow]:
             assert D.k <= 4 * r + 2
             bound, _ = hyperbolic_dual_certificate(fam, 2, dD, 8)
             res = min_distance(dual(D), lower=bound, target=8)
-            tD = verify_transitive(D, family=fam)
+            qprime = 2
         CD = schur(C, D)
         assert CD == D  # degree-0 storage: the product adds nothing
-        scheme = PirScheme.of(
-            C, D, CD, res.lower - 1, combine_transitivity(transitivity_premises(fam, dC), tD)
+        grade = combine_transitivity(
+            grade_transitivity(fam, dC, C, qprime), grade_transitivity(fam, dD, D, qprime)
         )
+        scheme = PirScheme.of(C, D, CD, res.lower - 1, grade)
         printed = {"privacy": 7, **dict(zip(_RM_CMP_COLUMNS, values))}
         rows.append(_row(f"r={r}", style, scheme, printed, {"d_Dperp": res}, corrections))
     return rows

@@ -252,6 +252,31 @@ def test_verify_pir_transitive_unverified_exit(tmp_path, capsys):
     assert (code, cert["status"]) == (1, "unverified")
 
 
+@pytest.mark.parametrize(
+    "spec, status, orbit_checked, exit_code",
+    [
+        # premises proved: the code, not coset-closed over GF(2), is never built
+        ({**COSET_SPEC, "family": {"m": 1, "N": [16], "J": []}, "delta": [[0], [1]]},
+         "proved-by-structure", None, 0),
+        # premises fail: the search verifies cyclic48's storage code
+        ({"ambient": {"p": 7, "r": 2}, "family": {"m": 1, "N": [49], "J": [1]},
+          "subfield": 1, "delta": {"generator": "cosets", "seeds": [[24], [25]]}},
+         "verified-by-permutations", True, 0),
+        ({"ambient": {"p": 2, "r": 4}, "family": {"m": 1, "N": [6], "J": []},
+          "delta": [[0], [2]]},
+         "unverified", False, 1),
+        # past the length cap nothing is searched
+        ({"ambient": {"p": 2, "r": 11}, "family": {"m": 1, "N": [2048], "J": [1]},
+          "delta": [[0], [3]]},
+         "unverified", None, 1),
+    ],
+)
+def test_verify_pir_transitive_certificate(tmp_path, capsys, spec, status, orbit_checked, exit_code):
+    code, out, err = run(capsys, "verify", "pir-transitive", spec_file(tmp_path, spec))
+    cert = json.loads(out)
+    assert (code, cert["status"], cert["orbit_checked"]) == (exit_code, status, orbit_checked), err
+
+
 # ---------------------------------------------------------------- schur/subfield
 
 
@@ -264,6 +289,17 @@ def test_schur_reports_grid_dimension(tmp_path, capsys):
     assert "minkowski dimension: 1 (agrees: yes)" in out
 
 
+def test_schur_of_whole_field_subfield_codes_is_the_evaluation_product(tmp_path, capsys):
+    # subfield degree r names C_delta itself, alone or beside a spec without one
+    plain = spec_file(tmp_path, RM_SPEC, "plain.json")
+    whole = spec_file(tmp_path, {**RM_SPEC, "subfield": 1}, "whole.json")
+    _, expect, _ = run(capsys, "schur", plain, plain)
+    assert expect.splitlines()[0] == "[128,29,32]"
+    for pair in ((whole, whole), (plain, whole), (whole, plain)):
+        code, out, _ = run(capsys, "schur", *pair)
+        assert (code, out) == (0, expect), pair
+
+
 def test_subfield_command_with_degree_flag(tmp_path, capsys):
     spec = {k: v for k, v in COSET_SPEC.items() if k != "subfield"}
     spec["delta"] = [[0], [1], [2], [4], [8]]
@@ -271,6 +307,18 @@ def test_subfield_command_with_degree_flag(tmp_path, capsys):
     assert code == 0
     assert "[15,5," in out.splitlines()[0]
     assert "dimension equals defining-set size: yes" in out
+
+
+def test_subfield_of_the_whole_field_summarizes_like_build(tmp_path, capsys):
+    # with q' = q the subfield code is C_delta itself, so its distance comes
+    # from the same footprint certificate
+    path = spec_file(tmp_path, WRM_SPEC)
+    _, built, _ = run(capsys, "build", path)
+    code, out, _ = run(capsys, "subfield", path, "--degree", "1")
+    assert code == 0
+    assert out.splitlines()[:4] == built.splitlines()[:4]
+    assert out.splitlines()[0] == "[128,44,16]"
+    assert "distance: 16 (exact; footprint bound with matching witness)" in out.splitlines()
 
 
 def test_subfield_requires_degree(tmp_path, capsys):

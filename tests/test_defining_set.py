@@ -80,7 +80,7 @@ def ref_is_decreasing(delta):
 
 
 def ref_footprint(family, e):
-    return math.prod(zj - ej for zj, ej in zip(family.zsizes(), e))
+    return math.prod(zj - ej for zj, ej in zip(family.shape, e))
 
 
 def ref_hyperbolic_shell(family, d):

@@ -708,6 +708,71 @@ def test_weight5_search_gf7():
     assert r2.lower == r.lower
 
 
+def _subfield_relabel_maps_by_minimal_polynomial(spec, s):
+    """The index map from GF(p^s) inside spec to the canonical GF(p^s) that
+    sends g_in = g^((q-1)/(q'-1)) to the least root of its minimal polynomial,
+    expanded from g_in's conjugates and evaluated in scalar field ops.  The
+    reference for linear_code._subfield_relabel_maps."""
+    sub = make_field(spec.p, s)
+    qp = sub.q
+    to_sub = np.full(spec.q, -1, dtype=np.int64)
+    to_sub[0] = 0
+    if qp == 2:
+        to_sub[1] = 1
+        return sub, to_sub
+    g_in = spec.pow(spec._gidx, (spec.q - 1) // (qp - 1))
+    conj, x = [], g_in
+    while True:
+        conj.append(x)
+        x = spec.pow(x, spec.p)
+        if x == g_in:
+            break
+    poly = [1]  # coefficients in spec, ascending
+    for c in conj:
+        nxt = [0] * (len(poly) + 1)
+        for i, a in enumerate(poly):
+            nxt[i + 1] = spec.add(nxt[i + 1], a)
+            nxt[i] = spec.sub(nxt[i], spec.mul(a, c))
+        poly = nxt
+    assert all(v < spec.p for v in poly), "minimal polynomial must have prime-field coefficients"
+    root = None
+    for cand in range(1, qp):
+        acc, powc = 0, 1
+        for coef in poly:
+            acc = sub.add(acc, sub.mul(coef, powc))
+            powc = sub.mul(powc, cand)
+        if acc == 0:
+            root = cand
+            break
+    assert root is not None
+    a_in, a_out = 1, 1
+    for _ in range(qp - 1):
+        to_sub[a_in] = a_out
+        a_in = spec.mul(a_in, g_in)
+        a_out = sub.mul(a_out, root)
+    return sub, to_sub
+
+
+# Every extension field of order at most 4096 and the prime fields that the
+# suite builds: these cover every field the suite builds.
+_RELABEL_FIELDS = [
+    (p, r) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61)
+    for r in range(2, 13) if p**r <= 4096
+] + [(p, 1) for p in (2, 3, 5, 7, 11, 13, 251, 257, 1031, 65537)]
+
+
+def test_subfield_relabel_maps_match_minimal_polynomial_root():
+    compared = 0
+    for p, r in _RELABEL_FIELDS:
+        spec = make_field(p, r)
+        for s in (s for s in range(1, r + 1) if r % s == 0):
+            sub, to_sub = linear_code._subfield_relabel_maps(spec, s)
+            ref_sub, ref_to_sub = _subfield_relabel_maps_by_minimal_polynomial(spec, s)
+            assert sub is ref_sub and np.array_equal(to_sub, ref_to_sub), (p, r, s)
+            compared += 1
+    assert compared == 107
+
+
 def test_subfield_subcode_trivial_cases():
     C = hamming74()
     assert subfield_subcode(C, 1) == C

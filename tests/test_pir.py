@@ -4,9 +4,12 @@ Stored-table fixtures (dimensions, privacy levels, rates) were derived once
 with independent scripts and are asserted as frozen constants.
 """
 
+import ast
+import inspect
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,6 +39,7 @@ from evalcode.pir import (
     VERIFIED,
     PirScheme,
     combine_transitivity,
+    grade_transitivity,
     one_var_scheme,
     pir_params,
     table,
@@ -107,6 +111,13 @@ def test_pir_params_rate_identity_random_instances():
                 continue  # dual distance bound collapsed to 1: no scheme
             assert s.rate + Fraction(schur(C, D).k, f.n_points) == 1
             assert (s.rate * s.n).denominator == 1
+
+
+def test_pir_params_schemes_are_unverified():
+    # an arbitrary pair has no family to grade on, and no caller may stamp one
+    f, C, D = _toy_pair()
+    assert pir_params(C, D).transitivity == UNVERIFIED
+    assert "transitivity" not in inspect.signature(pir_params).parameters
 
 
 def test_pir_params_rejects_unit_dual_distance():
@@ -221,6 +232,53 @@ def test_verify_transitive_size_guard():
     C = evaluate(f, DefiningSet(f, [(0, 0)]))
     with pytest.raises(ValueError, match="1024"):
         verify_transitive(C, family=f)
+
+
+def _never_built():
+    raise AssertionError("the code was built although the search does not run")
+
+
+def test_grade_transitivity_premises_first_then_search():
+    # premises proved: the code is not needed
+    f = fam(16, (16, 4))
+    assert grade_transitivity(f, DefiningSet(f, [(0, 0), (1, 0)]), _never_built) == PROVED
+    # premises fail on a punctured line: the search runs on the code built on demand
+    f = fam(49, (49,), (1,))
+    d = closure(f, 7, DefiningSet(f, [(24,), (25,)]))
+    assert transitivity_premises(f, d, 7) == UNVERIFIED
+    built = []
+    grade = grade_transitivity(f, d, lambda: built.append(1) or subfield_code(f, 7, d), 7)
+    assert grade == VERIFIED and built == [1]
+    assert grade_transitivity(f, d, subfield_code(f, 7, d), 7) == VERIFIED
+    # premises fail past the length cap: no search, no code
+    f = fam(64, (64, 64))
+    d = DefiningSet(f, [(1, 1)])
+    assert f.n_points > pir.TRANSITIVITY_MAX_N
+    assert grade_transitivity(f, d, _never_built) == UNVERIFIED
+
+
+def test_library_grades_transitivity_through_one_rule():
+    # premises first, then the search: a second caller of either could grade
+    # a code by another rule
+    rule = {"transitivity_premises", "verify_transitive"}
+    inside, outside = set(), []
+    for path in sorted(Path(pir.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        in_rule = {
+            id(node)
+            for fn in ast.walk(tree)
+            if isinstance(fn, ast.FunctionDef) and fn.name == "grade_transitivity"
+            for node in ast.walk(fn)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+                if name in rule and id(node) in in_rule:
+                    inside.add(name)
+                elif name in rule:
+                    outside.append(f"{path.name}:{node.lineno}: {name}")
+    assert inside == rule and not outside
 
 
 def _additive_basis_by_span(spec, elems):
@@ -427,6 +485,33 @@ def test_minkowski_growth_is_monotone():
 
 
 # ---------------------------------------------------------------- stored tables
+
+
+# The grade of every stored PIR row.  The premises prove the affine tables and
+# the shaded RM rows; the permutation search verifies the subfield codes the
+# premises do not cover.  cyclic48's shaded rows store with punctured codes,
+# which lie on no family, so they stay unverified.
+_ROW_GRADES = {
+    ("I", "shaded"): PROVED,
+    ("I", "bold"): PROVED,
+    ("II", "shaded"): PROVED,
+    ("II", "bold"): PROVED,
+    ("cyclic48", "shaded"): UNVERIFIED,
+    ("cyclic48", "bold"): VERIFIED,
+    ("IV", "bold"): VERIFIED,
+    ("berman49", "bold"): VERIFIED,
+    ("berman49", "shaded"): VERIFIED,
+    ("rm_comparison", "shaded"): PROVED,
+    ("rm_comparison", "bold"): VERIFIED,
+}
+
+
+@pytest.mark.parametrize("kind", ["I", "II", "cyclic48", "IV", "berman49", "rm_comparison"])
+def test_table_rows_keep_their_transitivity_grades(kind):
+    rows = table(kind)
+    assert [(r.label, r.scheme.transitivity) for r in rows] == [
+        (r.label, _ROW_GRADES[kind, r.style]) for r in rows
+    ]
 
 
 def test_table_unknown_kind():
