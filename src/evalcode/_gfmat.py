@@ -1,14 +1,18 @@
 """Internal matrix kernels over GF(q).
 
-Matrices are numpy int64 arrays of element indices (see galois.py).  Row
-reduction dispatches to a Python-int bitset path for GF(2) (rows packed into
-arbitrary-precision ints, elimination by XOR) and a vectorized table path for
-every other field.  Everything returns fully reduced row-echelon forms with
-pivot columns in increasing order, so RREF equality is code equality.  The
-table path's pivot update takes its row multiples as row gathers
-(FieldSpec.scale_arr with a vector of multipliers).  nullspace reads the dual
-off a basis that is the identity on an information set, and makes its second
-elimination on the side with fewer rows.
+Matrices are numpy int64 arrays of element indices (see galois.py), and rref
+rejects an entry outside 0..q-1.  Row reduction dispatches to a Python-int
+bitset path for GF(2) (rows packed into arbitrary-precision ints, elimination
+by XOR) and a vectorized table path for every other field.  Everything
+returns fully reduced row-echelon forms with pivot columns in increasing
+order, so RREF equality is code equality.  The table path holds the matrix in
+the field's narrow storage dtype (FieldSpec.dtype, uint8 for q <= 256) and
+returns it as int64.  At pivot column c the pivot row is zero left of c, so
+each step changes only the columns from c on, all through the one row update
+FieldSpec.sub_scaled_rows; matmul over an extension field accumulates through
+it too.  nullspace reads the dual off a basis that is the identity on an
+information set, and makes its second elimination on the side with fewer
+rows.
 
 Membership has one rule: an RREF R is the identity on its pivot columns, so
 a row of V lies in R's row space iff its row of residual(R, pivots, V) =
@@ -24,6 +28,9 @@ from __future__ import annotations
 import numpy as np
 
 from evalcode.galois import FieldSpec
+
+# float64 holds every integer up to 2^53 exactly
+_FLOAT_EXACT = 1 << 53
 
 
 # ---------------------------------------------------------------------------
@@ -73,15 +80,14 @@ def rref_bits(rows: list[int]) -> tuple[list[int], list[int]]:
 
 
 def _rref_generic(M: np.ndarray, spec: FieldSpec) -> tuple[np.ndarray, list[int]]:
-    A = np.array(M, dtype=np.int64)
+    A = np.array(M, dtype=spec.dtype)
     nrows, ncols = A.shape
     r = 0
     pivots: list[int] = []
     for c in range(ncols):
         if r == nrows:
             break
-        col = A[r:, c]
-        nzi = np.nonzero(col)[0]
+        nzi = np.nonzero(A[r:, c])[0]
         if nzi.size == 0:
             continue
         piv = r + int(nzi[0])
@@ -89,22 +95,26 @@ def _rref_generic(M: np.ndarray, spec: FieldSpec) -> tuple[np.ndarray, list[int]
             A[[r, piv]] = A[[piv, r]]
         pv = int(A[r, c])
         if pv != 1:
-            A[r] = spec.scale_arr(spec.inv(pv), A[r])
-        other = spec.neg_arr(A[:, c])  # row i adds -A[i, c] times the pivot row
-        other[r] = 0
-        hit = np.nonzero(other)[0]
+            A[r, c:] = spec.mul_arr(spec.inv(pv), A[r, c:])
+        col = A[:, c].copy()  # row i takes away col[i] times the pivot row
+        col[r] = 0
+        hit = np.nonzero(col)[0]
         if hit.size:
-            A[hit] = spec.add_arr(A[hit], spec.scale_arr(other[hit], A[r]))
+            A[hit, c:] = spec.sub_scaled_rows(A.take(hit, axis=0)[:, c:], col.take(hit), A[r, c:])
         pivots.append(c)
         r += 1
-    return A[: len(pivots)], pivots
+    return A[: len(pivots)].astype(np.int64), pivots
 
 
 def rref(M: np.ndarray, spec: FieldSpec) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form over GF(q); returns (matrix, pivot columns)."""
+    """Reduced row echelon form over GF(q); returns (matrix, pivot columns).
+    Raises ValueError if an entry is not an element index 0..q-1."""
     M = np.asarray(M, dtype=np.int64)
     if M.ndim != 2:
         M = np.atleast_2d(M)
+    # a negative entry reads as at least 2^63 unsigned: one max checks both ends
+    if M.size and M.view(np.uint64).max() >= spec.q:
+        raise ValueError(f"matrix entries over {spec.name} must lie in 0..{spec.q - 1}")
     if M.shape[0] == 0:
         return M.copy(), []
     if spec.q == 2:
@@ -163,19 +173,31 @@ def nullspace_of_rref(R: np.ndarray, pivots: list[int], spec: FieldSpec) -> np.n
 
 
 def matmul(A: np.ndarray, B: np.ndarray, spec: FieldSpec) -> np.ndarray:
-    """A @ B over GF(q)."""
+    """A @ B over GF(q).
+
+    Over a prime field it is a float64 product, exact while every partial sum
+    stays at most 2^53: the inner dimension goes in chunks of
+    2^53 // (p - 1)^2, each reduced mod p.  Over an extension field the
+    product accumulates one row update per column t of A, out - (-A[:, t]) *
+    B[t], in the narrow storage dtype.
+    """
     A = np.asarray(A, dtype=np.int64)
     B = np.asarray(B, dtype=np.int64)
     if spec.r == 1:
-        return np.asarray(
-            np.round(A.astype(np.float64) @ B.astype(np.float64)), dtype=np.int64
-        ) % spec.p
-    out = np.zeros((A.shape[0], B.shape[1]), dtype=np.int64)
+        step = _FLOAT_EXACT // (spec.p - 1) ** 2
+        out = None
+        for s in range(0, max(A.shape[1], 1), step):  # one chunk at the least
+            part = A[:, s : s + step].astype(np.float64) @ B[s : s + step].astype(np.float64)
+            part = np.asarray(np.round(part), dtype=np.int64) % spec.p
+            out = part if out is None else (out + part) % spec.p
+        return out
+    out = np.zeros((A.shape[0], B.shape[1]), dtype=spec.dtype)
+    negA = spec.neg_arr(A)
     for t in range(A.shape[1]):
-        col = A[:, t]
+        col = negA[:, t]
         if np.any(col):
-            out = spec.add_arr(out, spec.scale_arr(col, B[t]))
-    return out
+            out = spec.sub_scaled_rows(out, col, B[t])
+    return out.astype(np.int64)
 
 
 def schur_rows(A: np.ndarray, B: np.ndarray, spec: FieldSpec) -> np.ndarray:

@@ -14,7 +14,15 @@ one gather from a q-entry table of (p - 1) * x, the identity in characteristic
 2, and subtraction adds the negation.  The rules are numpy ops on index arrays,
 which the matrix kernels use; the scalar add, neg, sub and pow call them.  For
 q <= 2^10, products and odd-characteristic sums are single gathers from q x q
-tables built by the same rules.
+int64 tables built by the same rules.
+
+The matrix kernels store elements in ``FieldSpec.dtype``, the narrowest
+unsigned dtype that holds q - 1 (uint8 for q <= 256), and change a matrix
+through one row update, ``sub_scaled_rows(X, c, y)`` = the rows X[i] - c[i] * y.
+For q <= 2^10 it reads narrow copies of the tables, built on first use: the
+products are row gathers from the product table, and the difference is XOR in
+characteristic 2 or, for odd p, one gather from a flat table of x - z keyed
+x + q * z.  Above 2^10 it takes the log rule.
 """
 
 from __future__ import annotations
@@ -150,16 +158,19 @@ class FieldSpec:
     """
 
     __slots__ = (
-        "p", "r", "q", "modulus", "_exp", "_log", "_gidx",
-        "_neg", "_add", "_mul", "_frob_table",
+        "p", "r", "q", "dtype", "modulus", "_exp", "_log", "_gidx",
+        "_neg", "_add", "_mul", "_row_tables", "_frob_table",
     )
 
     def __init__(self, p: int, r: int, modulus: tuple[int, ...]):
         self.p = p
         self.r = r
         self.q = p**r
+        # the narrowest unsigned dtype that holds an element index
+        self.dtype = np.min_scalar_type(self.q - 1)
         self.modulus = modulus
         self._build_tables()
+        self._row_tables = None  # sub_scaled_rows' narrow tables, built on first use
         self._frob_table: dict[int, np.ndarray] = {}
 
     # -- construction ------------------------------------------------------
@@ -300,14 +311,35 @@ class FieldSpec:
             return self._mul[a, b]
         return self._mul_log(a, b)
 
-    def scale_arr(self, c, a: np.ndarray) -> np.ndarray:
-        """c * a for a scalar c and index array a.  For a 1-D c and a row a,
-        the rows c[i] * a: row gathers from the table, not a 2-D broadcast."""
+    def scale_arr(self, c: int, a: np.ndarray) -> np.ndarray:
+        """c * a for a scalar c and index array a: a gather from row c of the table."""
         if self._mul is not None:
-            rows = self._mul[c]
-            return rows[a] if rows.ndim == 1 else rows[:, a]
-        c = np.asarray(c)
-        return self._mul_log(c[:, None] if c.ndim else c, a)
+            return self._mul[c][a]
+        return self._mul_log(c, a)
+
+    def sub_scaled_rows(self, X: np.ndarray, c: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """The rows X[i] - c[i] * y, for X in ``self.dtype``, in that dtype (see
+        the module docstring).  For odd p the product table holds q * (a * b)
+        as keys, 16-bit up to q = 256, so a key x + q * z needs one add."""
+        if self.q > _OP_TABLE_LIMIT:
+            prod = self._mul_log(np.asarray(c)[:, None], y)
+            if self.p == 2:
+                return X ^ prod.astype(X.dtype)
+            return self._add_digits(X, self._neg[prod]).astype(X.dtype)
+        if self._row_tables is None:
+            if self.p == 2:
+                self._row_tables = (self._mul.astype(self.dtype), None)
+            else:
+                # row z of _add[_neg] is x - z over x, so x - z sits at x + q * z
+                diff = self._add[self._neg].astype(self.dtype).ravel()
+                keys = (self._mul * self.q).astype(np.min_scalar_type(diff.size - 1))
+                self._row_tables = (keys, diff)
+        prod, diff = self._row_tables
+        z = prod.take(c, axis=0).take(y, axis=1)
+        if diff is None:
+            return X ^ z
+        z += X
+        return diff.take(z)
 
     def inv_arr(self, a: np.ndarray) -> np.ndarray:
         if np.any(a == 0):

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from evalcode.galois import (
     _OP_TABLE_LIMIT,
     FieldError,
+    FieldSpec,
     _digits,
     _ilog,
     _order_mod,
@@ -210,7 +211,9 @@ def test_vectorized_ops_match_scalar_on_full_grid(p, r):
     products = products.reshape(spec.q, spec.q)
     for c in range(spec.q):
         assert np.array_equal(spec.scale_arr(c, idx), products[c])
-    assert np.array_equal(spec.scale_arr(idx, idx), products)  # the rows c * idx at once
+    zero = np.zeros((spec.q, spec.q), dtype=spec.dtype)
+    # the rows 0 - c * idx, every c at once
+    assert np.array_equal(spec.sub_scaled_rows(zero, idx, idx), spec.neg_arr(products))
 
 
 @pytest.mark.parametrize("p,r", FIELDS + [(251, 1), (3, 7), (1031, 1), (65537, 1)])
@@ -231,8 +234,35 @@ def test_fields_above_op_table_limit_use_digit_and_log_paths(p, r):
     b[:50] = 0  # the log path masks zeros separately
     _assert_ops_match_reference(spec, a, b)
     assert spec.scale_arr(int(a[0]), b).tolist() == [spec.mul(int(a[0]), y) for y in b.tolist()]
-    rows = spec.scale_arr(b[40:60], a)  # b[40:50] are zeros
-    assert rows.tolist() == [[spec.mul(x, y) for y in a.tolist()] for x in b[40:60].tolist()]
+    zero = np.zeros((20, a.size), dtype=spec.dtype)
+    rows = spec.sub_scaled_rows(zero, b[40:60], a)  # b[40:50] are zeros
+    assert rows.tolist() == [[spec.neg(spec.mul(x, y)) for y in a.tolist()] for x in b[40:60].tolist()]
+
+
+@pytest.mark.parametrize("p,r", FIELDS + [(3, 2), (31, 1), (3, 6), (3, 7), (1031, 1), (2, 11)])
+def test_sub_scaled_rows_matches_scalar_ops(p, r):
+    # narrow tables with 16- and 32-bit keys, XOR in uint8 and uint16, and the
+    # log path above 2^10; the tables are built on first use, not with the field
+    spec = make_field(p, r)
+    fresh = FieldSpec(spec.p, spec.r, spec.modulus)
+    assert fresh._row_tables is None
+    assert fresh.dtype == np.min_scalar_type(spec.q - 1)
+    assert (fresh.dtype == np.uint8) == (spec.q <= 256)
+    rng = np.random.default_rng(p * 10 + r)
+    X = rng.integers(0, spec.q, (7, 30)).astype(fresh.dtype)
+    X[:, :3] = spec.q - 1
+    c = rng.integers(0, spec.q, 7)
+    c[:2] = [0, spec.q - 1]
+    y = rng.integers(0, spec.q, 30).astype(fresh.dtype)
+    y[3:6] = [0, 1, spec.q - 1]
+    out = fresh.sub_scaled_rows(X, c, y)
+    assert out.dtype == fresh.dtype
+    expect = [
+        [spec.sub(x, spec.mul(ci, yj)) for x, yj in zip(row, y.tolist())]
+        for row, ci in zip(X.tolist(), c.tolist())
+    ]
+    assert out.tolist() == expect
+    assert (fresh._row_tables is None) == (spec.q > _OP_TABLE_LIMIT)
 
 
 @pytest.mark.parametrize("p,r", [(3, 5), (2, 9)])

@@ -3,11 +3,13 @@ import dataclasses
 import gc
 import itertools
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
 import weakref
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -27,7 +29,7 @@ from evalcode.cartesian import (
     full_affine_family,
 )
 from evalcode.cyclotomic import closure, consecutive_union, subfield_code
-from evalcode.galois import FieldError, make_field, subgroup_roots
+from evalcode.galois import FieldError, FieldSpec, make_field, subgroup_roots
 from evalcode.linear_code import (
     DistanceResult,
     LinearCode,
@@ -94,7 +96,7 @@ def _rref_scalar(M, spec):
     return np.array(A[: len(pivots)], dtype=np.int64).reshape(-1, M.shape[1]), pivots
 
 
-@pytest.mark.parametrize("p,r", [(2, 2), (2, 4), (7, 1), (7, 2)])
+@pytest.mark.parametrize("p,r", [(2, 2), (2, 4), (7, 1), (3, 2), (7, 2), (2, 8)])
 def test_rref_matches_scalar_gauss_jordan(p, r):
     # small and tall matrices, each with a zero row and rank below the row count
     spec = make_field(p, r)
@@ -106,6 +108,167 @@ def test_rref_matches_scalar_gauss_jordan(p, r):
         R0, pivots0 = _rref_scalar(M, spec)
         assert pivots == pivots0
         assert np.array_equal(R, R0)
+
+
+def _rref_generic_reference(M, spec):
+    """The int64 table-path elimination that the narrow kernel replaced: whole
+    rows, multiples by FieldSpec.mul_arr and sums by FieldSpec.add_arr.
+    The reference for _gfmat._rref_generic."""
+    A = np.array(M, dtype=np.int64)
+    nrows, ncols = A.shape
+    r = 0
+    pivots = []
+    for c in range(ncols):
+        if r == nrows:
+            break
+        nzi = np.nonzero(A[r:, c])[0]
+        if nzi.size == 0:
+            continue
+        piv = r + int(nzi[0])
+        if piv != r:
+            A[[r, piv]] = A[[piv, r]]
+        pv = int(A[r, c])
+        if pv != 1:
+            A[r] = spec.scale_arr(spec.inv(pv), A[r])
+        other = spec.neg_arr(A[:, c])
+        other[r] = 0
+        hit = np.nonzero(other)[0]
+        if hit.size:
+            A[hit] = spec.add_arr(A[hit], spec.mul_arr(other[hit][:, None], A[r]))
+        pivots.append(c)
+        r += 1
+    return A[: len(pivots)], pivots
+
+
+def _matmul_reference(A, B, spec):
+    """A @ B by the int64 loop that the row update replaced: one mul_arr
+    and one add_arr per nonzero column of A.  The reference for
+    _gfmat.matmul over an extension field."""
+    A = np.asarray(A, dtype=np.int64)
+    B = np.asarray(B, dtype=np.int64)
+    out = np.zeros((A.shape[0], B.shape[1]), dtype=np.int64)
+    for t in range(A.shape[1]):
+        col = A[:, t]
+        if np.any(col):
+            out = spec.add_arr(out, spec.mul_arr(col[:, None], B[t]))
+    return out
+
+
+# every narrow-table case (odd p with 16- and 32-bit keys, characteristic 2 in
+# uint8 and uint16) and both characteristics on the log path
+NARROW_FIELDS = [
+    (3, 1), (2, 2), (7, 1), (2, 3), (3, 2), (7, 2), (2, 6), (2, 8), (2, 9), (3, 6), (3, 7), (2, 11),
+]
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.data())
+def test_narrow_rref_matches_int64_reference(data):
+    # tall, wide and square M of any rank, with zero, repeated, scaled and
+    # late-starting rows, so that pivots are often not 1 and rows swap
+    for p, r in NARROW_FIELDS:
+        spec = make_field(p, r)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        a = data.draw(st.integers(1, 18), label="a")
+        b = data.draw(st.integers(1, 18), label="b")
+        shape = data.draw(st.sampled_from(["tall", "wide", "square"]), label="shape")
+        rows, cols = {
+            "tall": (max(a, b), min(a, b)), "wide": (min(a, b), max(a, b)), "square": (a, a)
+        }[shape]
+        rank = data.draw(st.integers(0, min(rows, cols)), label="rank")
+        X, Y = rng.integers(0, spec.q, (rows, rank)), rng.integers(0, spec.q, (rank, cols))
+        M = _matmul_reference(X, Y, spec)
+        for i in range(rows):
+            kind = data.draw(st.sampled_from(["keep", "zero", "repeat", "scale", "late"]), label="row")
+            if kind == "zero":
+                M[i] = 0
+            elif kind == "repeat" and i:
+                M[i] = M[data.draw(st.integers(0, i - 1), label="source")]
+            elif kind == "scale":
+                M[i] = spec.scale_arr(int(rng.integers(1, spec.q)), M[i])
+            elif kind == "late":
+                M[i, : data.draw(st.integers(1, cols), label="lead")] = 0
+        R, pivots = rref(M, spec)
+        R0, pivots0 = _rref_generic_reference(M, spec)
+        assert pivots == pivots0
+        assert R.dtype == np.int64 and R.shape == R0.shape
+        assert R.tobytes() == R0.tobytes(), (spec.q, M)
+        R1, pivots1 = rref(R, spec)
+        assert pivots1 == pivots and R1.tobytes() == R.tobytes()
+
+
+def test_rref_pivot_loop_calls_no_wide_field_op(monkeypatch):
+    # a GF(49) elimination at the oracles' largest size changes the rows off
+    # the pivot through sub_scaled_rows alone: no scale_arr, add_arr or neg_arr
+    spec = make_field(7, 2)
+    M = np.random.default_rng(342).integers(0, spec.q, (342, 343))
+    expect = _rref_generic_reference(M, spec)
+    calls = []
+    for op in ("add_arr", "scale_arr", "neg_arr"):
+        orig = getattr(FieldSpec, op)
+        monkeypatch.setattr(
+            FieldSpec, op, lambda self, *args, _op=op, _orig=orig: calls.append(_op) or _orig(self, *args)
+        )
+    R, pivots = rref(M, spec)
+    assert calls == []
+    assert pivots == expect[1] and np.array_equal(R, expect[0])
+
+
+def test_rref_rejects_entries_outside_the_field():
+    cases = [
+        (F4, [[1, 0, 0], [0, 1, 5]]),  # was kept as a [3,2] code holding 5
+        (F4, [[1, 5, 0], [0, 1, 1]]),  # was an IndexError from the table
+        (F7, [[1, 9, 0]]),  # was kept as it was
+        (F7, [[1, -1, 0]]),
+        (F2, [[1, 3, 0], [0, 1, 1]]),  # 3 became 1
+        (F7, [[0, 7, 1]]),
+        (F2, [[2, 1, 1]]),
+    ]
+    for spec, rows in cases:
+        with pytest.raises(ValueError, match=re.escape(spec.name)):
+            LinearCode(spec, rows)
+        with pytest.raises(ValueError, match=re.escape(spec.name)):
+            rref(np.array(rows), spec)
+    assert LinearCode(F4, [[1, 0, 3], [0, 1, 2]]).k == 2
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.data())
+def test_extension_matmul_matches_reference(data):
+    # A with zero columns, which the loop skips; residual and contains read
+    # the product, on members of C and on random words
+    for p, r in [(2, 2), (2, 3), (7, 2), (2, 6)]:
+        spec = make_field(p, r)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        m, k = (data.draw(st.integers(0, 10), label=name) for name in "mk")
+        n = data.draw(st.integers(1, 12), label="n")
+        A = rng.integers(0, spec.q, (m, k))
+        A[:, data.draw(st.lists(st.integers(0, max(k - 1, 0)), max_size=k), label="zero")] = 0
+        B = rng.integers(0, spec.q, (k, n))
+        out = _gfmat.matmul(A, B, spec)
+        assert out.dtype == np.int64
+        assert np.array_equal(out, _matmul_reference(A, B, spec))
+        C = LinearCode(spec, B)
+        coef = rng.integers(0, spec.q, (m, C.k))
+        coef[:, : data.draw(st.integers(0, C.k), label="unused")] = 0
+        words = rng.integers(0, spec.q, (data.draw(st.integers(0, 3), label="words"), n))
+        V = np.concatenate([_matmul_reference(coef, C.gen, spec), words])
+        expect = spec.sub_arr(V, _matmul_reference(V[:, C.pivots], C.gen, spec))
+        assert np.array_equal(_gfmat.residual(C.gen, C.pivots, V, spec), expect)
+        assert contains(C, LinearCode(spec, V)) == (not expect.any())
+
+
+def test_prime_matmul_is_exact_past_float_precision():
+    # inner * (p - 1)^2 is above 2^53, where one float64 product rounds; the
+    # int64 product is exact here, since 20000 * (p - 1)^2 < 2^63.  Matmul
+    # over a prime field reads only p and r, so this skips the seconds that
+    # building GF(p)'s log tables takes.
+    p = 1048573
+    spec = SimpleNamespace(p=p, r=1)
+    rng = np.random.default_rng(0)
+    A = rng.integers(p - 1000, p, (3, 20000))
+    B = rng.integers(p - 1000, p, (20000, 4))
+    assert np.array_equal(_gfmat.matmul(A, B, spec), (A @ B) % p)
 
 
 def _nullspace_scalar(M, spec):
