@@ -1,18 +1,22 @@
 """Internal matrix kernels over GF(q).
 
 Matrices are numpy int64 arrays of element indices (see galois.py), and rref
-rejects an entry outside 0..q-1.  Row reduction dispatches to a Python-int
-bitset path for GF(2) (rows packed into arbitrary-precision ints, elimination
-by XOR) and a vectorized table path for every other field.  Everything
-returns fully reduced row-echelon forms with pivot columns in increasing
-order, so RREF equality is code equality.  The table path holds the matrix in
-the field's narrow storage dtype (FieldSpec.dtype, uint8 for q <= 256) and
-returns it as int64.  At pivot column c the pivot row is zero left of c, so
-each step changes only the columns from c on, all through the one row update
-FieldSpec.sub_scaled_rows; matmul over an extension field accumulates through
-it too.  nullspace reads the dual off a basis that is the identity on an
-information set, and makes its second elimination on the side with fewer
-rows.
+rejects an entry outside 0..q-1 (in_field).  Row reduction dispatches to a
+Python-int bitset path for GF(2) and a vectorized table path for every other
+field.  Everything returns fully reduced row-echelon forms with pivot columns
+in increasing order, so RREF equality is code equality.
+
+The GF(2) path (rref_bits) packs each row into an arbitrary-precision int and
+eliminates by XOR in two passes: an echelon pass keyed by each row's lowest
+set bit, then one back-substitution from the highest pivot down.
+
+The table path holds the matrix in the field's narrow storage dtype
+(FieldSpec.dtype, uint8 for q <= 256) and returns it as int64.  At pivot
+column c the pivot row is zero left of c, so each step changes only the
+columns from c on, all through the one row update FieldSpec.sub_scaled_rows;
+matmul over an extension field accumulates through it too.  nullspace reads
+the dual off a basis that is the identity on an information set, and makes
+its second elimination on the side with fewer rows.
 
 Membership has one rule: an RREF R is the identity on its pivot columns, so
 a row of V lies in R's row space iff its row of residual(R, pivots, V) =
@@ -56,23 +60,38 @@ def unpack_rows(bits: list[int], n: int) -> np.ndarray:
 
 
 def rref_bits(rows: list[int]) -> tuple[list[int], list[int]]:
-    """Reduced row echelon form of GF(2) rows; returns (rows, pivot columns)."""
-    piv_rows: dict[int, int] = {}  # pivot column -> row (1 << column cached with it)
-    piv_bits: dict[int, int] = {}
+    """Reduced row echelon form of GF(2) rows; returns (rows, pivot columns).
+
+    Two passes.  The echelon pass keeps one row per pivot column, keyed by
+    that row's lowest set bit: an incoming row takes away the row stored under
+    its lowest set bit until that bit is new or the row is zero.  Each XOR
+    clears the lowest bit and changes only higher bits, so a row meets only
+    the pivots it holds.  Back-substitution then runs from the highest pivot
+    down, and clears each row at `row & done`, the pivot bits of the rows
+    already finished: one XOR per set bit, since a finished row is zero at
+    every other finished pivot.
+    """
+    piv: dict[int, int] = {}  # pivot column -> row whose lowest set bit it is
     for r in rows:
-        for c, bit in piv_bits.items():
-            if r & bit:
-                r ^= piv_rows[c]
-        if r:
+        while r:
             c = (r & -r).bit_length() - 1
-            bit = 1 << c
-            for pc in piv_rows:
-                if piv_rows[pc] & bit:
-                    piv_rows[pc] ^= r
-            piv_rows[c] = r
-            piv_bits[c] = bit
-    pivots = sorted(piv_rows)
-    return [piv_rows[c] for c in pivots], pivots
+            other = piv.get(c)
+            if other is None:
+                piv[c] = r
+                break
+            r ^= other
+    pivots = sorted(piv)
+    done = 0
+    for c in reversed(pivots):
+        r = piv[c]
+        hit = r & done
+        while hit:
+            bit = hit & -hit
+            r ^= piv[bit.bit_length() - 1]
+            hit ^= bit
+        piv[c] = r
+        done |= 1 << c
+    return [piv[c] for c in pivots], pivots
 
 
 # ---------------------------------------------------------------------------
@@ -106,14 +125,21 @@ def _rref_generic(M: np.ndarray, spec: FieldSpec) -> tuple[np.ndarray, list[int]
     return A[: len(pivots)].astype(np.int64), pivots
 
 
+def in_field(M: np.ndarray, spec: FieldSpec) -> bool:
+    """Whether every entry of the int64 array M is an element index 0..q-1."""
+    # a negative entry reads as at least 2^63 unsigned: one max checks both ends
+    return not M.size or M.view(np.uint64).max() < spec.q
+
+
 def rref(M: np.ndarray, spec: FieldSpec) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form over GF(q); returns (matrix, pivot columns).
-    Raises ValueError if an entry is not an element index 0..q-1."""
+    A vector is one row.  Raises ValueError if M has more than two dimensions
+    or an entry is not an element index 0..q-1."""
     M = np.asarray(M, dtype=np.int64)
-    if M.ndim != 2:
-        M = np.atleast_2d(M)
-    # a negative entry reads as at least 2^63 unsigned: one max checks both ends
-    if M.size and M.view(np.uint64).max() >= spec.q:
+    if M.ndim > 2:
+        raise ValueError(f"rref takes a vector or a matrix, not an array of shape {M.shape}")
+    M = np.atleast_2d(M)
+    if not in_field(M, spec):
         raise ValueError(f"matrix entries over {spec.name} must lie in 0..{spec.q - 1}")
     if M.shape[0] == 0:
         return M.copy(), []

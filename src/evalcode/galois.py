@@ -194,23 +194,29 @@ class FieldSpec:
         q = self.q
         if q > _LOG_TABLE_LIMIT:
             raise FieldError(f"field GF({q}) exceeds the table limit 2^20")
+        # over GF(p) the index is the integer itself, so products are mod p
+        # and need no polynomial helpers
+        if self.r == 1:
+            power, mul = (lambda a, e: pow(a, e, q)), (lambda a, b: a * b % q)
+        else:
+            power, mul = self._raw_pow, self._raw_mul
         # least element index of multiplicative order q-1
         factors = _prime_factors(q - 1) if q > 2 else []
         g = 1
         if q > 2:
             for cand in range(2, q):
-                if all(self._raw_pow(cand, (q - 1) // f) != 1 for f in factors):
+                if all(power(cand, (q - 1) // f) != 1 for f in factors):
                     g = cand
                     break
         self._gidx = g
+        powers = [1] * (q - 1)  # powers[k] = g^k
+        for k in range(1, q - 1):
+            powers[k] = mul(powers[k - 1], g)
         exp = np.zeros(max(2 * (q - 1), 1), dtype=np.int64)
-        log = np.zeros(q, dtype=np.int64)
-        acc = 1
-        for k in range(q - 1):
-            exp[k] = acc
-            log[acc] = k
-            acc = self._raw_mul(acc, g)
+        exp[: q - 1] = powers
         exp[q - 1:] = exp[: q - 1][: exp.size - (q - 1)]
+        log = np.zeros(q, dtype=np.int64)
+        log[exp[: q - 1]] = np.arange(q - 1)
         log[0] = -1  # sentinel; log of zero must never be used unmasked
         self._exp = exp
         self._log = log

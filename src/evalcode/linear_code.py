@@ -120,7 +120,7 @@ class LinearCode:
 
     def __contains__(self, v) -> bool:
         v = np.asarray(v, dtype=np.int64)
-        if v.shape != (self.n,):
+        if v.shape != (self.n,) or not _gfmat.in_field(v, self.spec):
             return False
         return _gfmat.in_row_space(self.gen, self.pivots, v, self.spec)
 

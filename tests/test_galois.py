@@ -122,6 +122,23 @@ def test_primitive_element_exhaustive_order(p, r):
     assert acc == spec(1)
 
 
+@pytest.mark.parametrize("p", [2, 3, 7, 31, 1031])
+def test_prime_field_tables_match_the_polynomial_route(p):
+    # GF(p) fills its tables with integer powers mod p; the polynomial
+    # helpers that extension fields use give the same generator and tables
+    spec = make_field(p)
+    q = spec.q
+    factors = [f for f in range(2, q) if (q - 1) % f == 0 and all(f % d for d in range(2, f))]
+    g = next((c for c in range(2, q) if all(spec._raw_pow(c, (q - 1) // f) != 1 for f in factors)), 1)
+    powers = [1]
+    for _ in range(q - 2):
+        powers.append(spec._raw_mul(powers[-1], g))
+    assert spec._gidx == g
+    assert spec._exp[: q - 1].tolist() == powers
+    assert spec._exp[q - 1 :].tolist() == powers[: spec._exp.size - (q - 1)]
+    assert spec._log[powers].tolist() == list(range(q - 1)) and spec._log[0] == -1
+
+
 def test_subgroup_roots_gf49():
     F49 = make_field(7, 2)
     roots = subgroup_roots(F49, 48)

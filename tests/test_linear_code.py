@@ -9,7 +9,6 @@ import sys
 import tracemalloc
 import weakref
 from pathlib import Path
-from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -96,7 +95,7 @@ def _rref_scalar(M, spec):
     return np.array(A[: len(pivots)], dtype=np.int64).reshape(-1, M.shape[1]), pivots
 
 
-@pytest.mark.parametrize("p,r", [(2, 2), (2, 4), (7, 1), (3, 2), (7, 2), (2, 8)])
+@pytest.mark.parametrize("p,r", [(2, 1), (2, 2), (2, 4), (7, 1), (3, 2), (7, 2), (2, 8)])
 def test_rref_matches_scalar_gauss_jordan(p, r):
     # small and tall matrices, each with a zero row and rank below the row count
     spec = make_field(p, r)
@@ -138,6 +137,65 @@ def _rref_generic_reference(M, spec):
         pivots.append(c)
         r += 1
     return A[: len(pivots)], pivots
+
+
+def _rref_bits_reference(rows):
+    """The one-pass GF(2) elimination that the two-pass kernel replaced: each
+    row is reduced by every pivot found so far, and each new pivot row is
+    swept across every pivot row.  The reference for _gfmat.rref_bits."""
+    piv_rows = {}
+    piv_bits = {}
+    for r in rows:
+        for c, bit in piv_bits.items():
+            if r & bit:
+                r ^= piv_rows[c]
+        if r:
+            c = (r & -r).bit_length() - 1
+            bit = 1 << c
+            for pc in piv_rows:
+                if piv_rows[pc] & bit:
+                    piv_rows[pc] ^= r
+            piv_rows[c] = r
+            piv_bits[c] = bit
+    pivots = sorted(piv_rows)
+    return [piv_rows[c] for c in pivots], pivots
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.data())
+def test_gf2_rref_matches_one_pass_reference(data):
+    # the shapes real passes make: tall rank-deficient matrices, a Schur
+    # square of more than 1000 rows with rank close to n, wide full-rank
+    # matrices and one column; each with zero, repeated and shuffled rows
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    n = data.draw(st.integers(1, 96), label="n")
+    rank = data.draw(st.integers(0, n), label="rank")
+    tall = rng.integers(0, 2, (data.draw(st.integers(n, 2000), label="rows"), rank))
+    tall = tall @ rng.integers(0, 2, (rank, n)) % 2
+    A = rng.integers(0, 2, (46, 64 + n))  # 1081 row pairs
+    A[:, rng.choice(64 + n, data.draw(st.integers(0, 8), label="gap"), replace=False)] = 0
+    k = data.draw(st.integers(1, 60), label="k")
+    wide = rng.integers(0, 2, (k, data.draw(st.integers(k, 400), label="width")))
+    wide[:, rng.choice(wide.shape[1], k, replace=False)] = np.eye(k, dtype=np.int64)
+    column = rng.integers(0, 2, (data.draw(st.integers(1, 40), label="column"), 1))
+    for M in (tall, schur_rows(A, A, F2), wide, column):
+        rows = len(M)
+        M[rng.choice(rows, data.draw(st.integers(0, rows // 4), label="zero"), replace=False)] = 0
+        repeat = rng.choice(rows, data.draw(st.integers(0, rows // 4), label="repeat"), replace=False)
+        M[repeat] = M[rng.integers(0, rows, repeat.size)]
+        M = M[rng.permutation(rows)]
+        bits = _gfmat.pack_rows(M)
+        expect = _rref_bits_reference(bits)
+        assert _gfmat.rref_bits(bits) == expect
+        R, pivots = rref(M, F2)
+        assert pivots == expect[1]
+        assert R.tobytes() == _gfmat.unpack_rows(expect[0], M.shape[1]).tobytes()
+
+
+def test_rref_bits_of_no_rows_and_zero_rows():
+    assert _gfmat.rref_bits([]) == ([], [])
+    assert _gfmat.rref_bits([0, 0]) == ([], [])
+    assert _gfmat.rref_bits([0b110, 0, 0b011, 0b110, 0b101]) == ([0b101, 0b110], [0, 1])
 
 
 def _matmul_reference(A, B, spec):
@@ -232,6 +290,16 @@ def test_rref_rejects_entries_outside_the_field():
     assert LinearCode(F4, [[1, 0, 3], [0, 1, 2]]).k == 2
 
 
+def test_rref_rejects_arrays_above_two_dimensions():
+    # a 2 x 2 x 2 array gave an empty (0, 2) RREF over GF(2) and a bare
+    # unpacking error over GF(4); a vector is still one row
+    for spec in (F2, F4, F7):
+        with pytest.raises(ValueError, match=re.escape("(2, 2, 2)")):
+            rref(np.ones((2, 2, 2), dtype=np.int64), spec)
+        R, pivots = rref(np.array([0, 1, 1]), spec)
+        assert pivots == [1] and R.tolist() == [[0, 1, 1]]
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.data())
 def test_extension_matmul_matches_reference(data):
@@ -260,11 +328,9 @@ def test_extension_matmul_matches_reference(data):
 
 def test_prime_matmul_is_exact_past_float_precision():
     # inner * (p - 1)^2 is above 2^53, where one float64 product rounds; the
-    # int64 product is exact here, since 20000 * (p - 1)^2 < 2^63.  Matmul
-    # over a prime field reads only p and r, so this skips the seconds that
-    # building GF(p)'s log tables takes.
+    # int64 product is exact here, since 20000 * (p - 1)^2 < 2^63
     p = 1048573
-    spec = SimpleNamespace(p=p, r=1)
+    spec = make_field(p)
     rng = np.random.default_rng(0)
     A = rng.integers(p - 1000, p, (3, 20000))
     B = rng.integers(p - 1000, p, (20000, 4))
@@ -651,6 +717,24 @@ def test_contains_and_membership():
     assert not contains(sub, C)
     assert contains(C, C)
     assert np.zeros(7, dtype=np.int64) in C
+
+
+def test_contains_rejects_words_outside_the_field():
+    # an entry outside 0..q-1 is not a field element, so the word is not a
+    # codeword; -6 was reduced mod 7 to 1, and 8 over GF(7) and 5 over GF(4)
+    # raised an IndexError from the tables
+    cases = [
+        (F2, [[2, 0, 0, 0], [-1, -1, 0, 0], [3, 3, 0, 0]]),
+        (F4, [[5, 0, 0, 0], [4, 4, 0, 0], [-1, -1, 0, 0]]),
+        (F7, [[-6, 1, 0, 0], [8, 8, 0, 0], [7, 7, 0, 0]]),
+    ]
+    for spec, words in cases:
+        C = LinearCode(spec, [[1, 1, 0, 0], [0, 0, 1, 1]])
+        assert np.array([1, 1, 0, 0]) in C
+        for word in words:
+            assert np.array(word) not in C
+            with pytest.raises(RuntimeError, match="not in code"):
+                _verify_word(C, np.array(word), np.count_nonzero(word))
 
 
 def test_puncture_shorten():
