@@ -1,10 +1,11 @@
 """Internal matrix kernels over GF(q).
 
-Matrices are numpy int64 arrays of element indices (see galois.py), and rref
-rejects an entry outside 0..q-1 (in_field).  Row reduction dispatches to a
-Python-int bitset path for GF(2) and a vectorized table path for every other
-field.  Everything returns fully reduced row-echelon forms with pivot columns
-in increasing order, so RREF equality is code equality.
+Matrices are numpy int64 arrays of element indices (see galois.py); rref
+rejects an entry that is not one (field_array).  rref, matmul and schur_rows
+split the fields one way: Python-int bitsets for GF(2), a vectorized table
+path for every other field.  Every product is exact integer arithmetic, with
+no floating point or BLAS.  rref returns fully reduced row-echelon forms with
+pivot columns in increasing order, so RREF equality is code equality.
 
 The GF(2) path (rref_bits) packs each row into an arbitrary-precision int and
 eliminates by XOR in two passes: an echelon pass keyed by each row's lowest
@@ -14,7 +15,7 @@ The table path holds the matrix in the field's narrow storage dtype
 (FieldSpec.dtype, uint8 for q <= 256) and returns it as int64.  At pivot
 column c the pivot row is zero left of c, so each step changes only the
 columns from c on, all through the one row update FieldSpec.sub_scaled_rows;
-matmul over an extension field accumulates through it too.  nullspace reads
+matmul over every field but GF(2) accumulates through it too.  nullspace reads
 the dual off a basis that is the identity on an information set, and makes
 its second elimination on the side with fewer rows.
 
@@ -29,12 +30,13 @@ other fields key the int64 product rows of FieldSpec.mul_arr.
 
 from __future__ import annotations
 
+import functools
+import itertools
+import operator
+
 import numpy as np
 
 from evalcode.galois import FieldSpec
-
-# float64 holds every integer up to 2^53 exactly
-_FLOAT_EXACT = 1 << 53
 
 
 # ---------------------------------------------------------------------------
@@ -42,18 +44,14 @@ _FLOAT_EXACT = 1 << 53
 
 
 def pack_rows(M: np.ndarray) -> list[int]:
-    """Pack each 0/1 row of M into a Python int (bit j = column j)."""
+    """Pack each 0/1 row of the matrix M into a Python int (bit j = column j)."""
     M = np.ascontiguousarray(M.astype(np.uint8))
-    if M.ndim == 1:
-        M = M[None, :]
     packed = np.packbits(M, axis=1, bitorder="little")
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
 def unpack_rows(bits: list[int], n: int) -> np.ndarray:
     nbytes = (n + 7) // 8
-    if not bits:
-        return np.zeros((0, n), dtype=np.int64)
     buf = b"".join(b.to_bytes(nbytes, "little") for b in bits)
     arr = np.frombuffer(buf, dtype=np.uint8).reshape(len(bits), nbytes)
     return np.unpackbits(arr, axis=1, bitorder="little")[:, :n].astype(np.int64)
@@ -125,22 +123,28 @@ def _rref_generic(M: np.ndarray, spec: FieldSpec) -> tuple[np.ndarray, list[int]
     return A[: len(pivots)].astype(np.int64), pivots
 
 
-def in_field(M: np.ndarray, spec: FieldSpec) -> bool:
-    """Whether every entry of the int64 array M is an element index 0..q-1."""
+def field_array(M, spec: FieldSpec) -> np.ndarray | None:
+    """M as int64 if every entry is an element index 0..q-1, else None.  The
+    cast alone would truncate 1.5 or turn NaN into some integer."""
+    M = np.asarray(M)
+    with np.errstate(invalid="ignore"):
+        A = M.astype(np.int64, copy=False)
+    if A is not M and not np.array_equal(A, M):
+        return None
     # a negative entry reads as at least 2^63 unsigned: one max checks both ends
-    return not M.size or M.view(np.uint64).max() < spec.q
+    return A if not A.size or A.view(np.uint64).max() < spec.q else None
 
 
 def rref(M: np.ndarray, spec: FieldSpec) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form over GF(q); returns (matrix, pivot columns).
     A vector is one row.  Raises ValueError if M has more than two dimensions
     or an entry is not an element index 0..q-1."""
-    M = np.asarray(M, dtype=np.int64)
+    M = field_array(M, spec)
+    if M is None:
+        raise ValueError(f"matrix entries over {spec.name} must be integers in 0..{spec.q - 1}")
     if M.ndim > 2:
         raise ValueError(f"rref takes a vector or a matrix, not an array of shape {M.shape}")
     M = np.atleast_2d(M)
-    if not in_field(M, spec):
-        raise ValueError(f"matrix entries over {spec.name} must lie in 0..{spec.q - 1}")
     if M.shape[0] == 0:
         return M.copy(), []
     if spec.q == 2:
@@ -199,30 +203,23 @@ def nullspace_of_rref(R: np.ndarray, pivots: list[int], spec: FieldSpec) -> np.n
 
 
 def matmul(A: np.ndarray, B: np.ndarray, spec: FieldSpec) -> np.ndarray:
-    """A @ B over GF(q).
-
-    Over a prime field it is a float64 product, exact while every partial sum
-    stays at most 2^53: the inner dimension goes in chunks of
-    2^53 // (p - 1)^2, each reduced mod p.  Over an extension field the
-    product accumulates one row update per column t of A, out - (-A[:, t]) *
-    B[t], in the narrow storage dtype.
-    """
+    """A @ B over GF(q), exact, for matrices A and B that multiply (else
+    ValueError).  Over GF(2) a product row is the XOR of the bitset rows of B
+    that the row of A selects; over every other field the product takes one
+    row update per nonzero column t of A, out - (-A[:, t]) * B[t], in the
+    narrow storage dtype."""
     A = np.asarray(A, dtype=np.int64)
     B = np.asarray(B, dtype=np.int64)
-    if spec.r == 1:
-        step = _FLOAT_EXACT // (spec.p - 1) ** 2
-        out = None
-        for s in range(0, max(A.shape[1], 1), step):  # one chunk at the least
-            part = A[:, s : s + step].astype(np.float64) @ B[s : s + step].astype(np.float64)
-            part = np.asarray(np.round(part), dtype=np.int64) % spec.p
-            out = part if out is None else (out + part) % spec.p
-        return out
+    if A.ndim != 2 or B.ndim != 2 or A.shape[1] != B.shape[0]:
+        raise ValueError(f"cannot multiply a matrix of shape {A.shape} by one of shape {B.shape}")
+    if spec.q == 2:
+        rows = pack_rows(B)
+        bits = [functools.reduce(operator.xor, itertools.compress(rows, a), 0) for a in A.tolist()]
+        return unpack_rows(bits, B.shape[1])
     out = np.zeros((A.shape[0], B.shape[1]), dtype=spec.dtype)
-    negA = spec.neg_arr(A)
-    for t in range(A.shape[1]):
-        col = negA[:, t]
-        if np.any(col):
-            out = spec.sub_scaled_rows(out, col, B[t])
+    negT = spec.neg_arr(A.T)  # row t is -A[:, t]
+    for t in np.flatnonzero(negT.any(axis=1)):
+        out = spec.sub_scaled_rows(out, negT[t], B[t])
     return out.astype(np.int64)
 
 

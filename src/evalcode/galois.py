@@ -42,21 +42,6 @@ class FieldError(ValueError):
     """Raised for invalid field constructions or cross-field arithmetic."""
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
-
-
 # ---------------------------------------------------------------------------
 # polynomial helpers over GF(p) (coefficient lists, ascending degree)
 
@@ -502,7 +487,7 @@ class FieldElement:
 @functools.lru_cache(maxsize=None)
 def make_field(p: int, r: int = 1) -> FieldSpec:
     """Construct GF(p^r) with the deterministic least irreducible modulus."""
-    if not _is_prime(p):
+    if _prime_factors(p) != [p]:
         raise FieldError(f"{p} is not prime")
     if r < 1:
         raise FieldError("extension degree must be >= 1")

@@ -83,15 +83,12 @@ class LinearCode:
 
     def __init__(self, spec: FieldSpec, rows, *, _reduced: bool = False):
         self.spec = spec
-        rows = np.asarray(rows, dtype=np.int64)
-        if rows.ndim == 1:
-            rows = rows[None, :]
-        self.n = rows.shape[1]
-        if _reduced:
+        if _reduced:  # an int64 matrix in RREF
             self.gen = rows
-            self.pivots = np.argmax(rows != 0, axis=1).tolist() if self.n else []
+            self.pivots = np.argmax(rows != 0, axis=1).tolist() if rows.shape[1] else []
         else:
             self.gen, self.pivots = _gfmat.rref(rows, spec)
+        self.n = self.gen.shape[1]
         self._dual_cache = None
 
     @classmethod
@@ -119,8 +116,8 @@ class LinearCode:
         return hash((id(self.spec), self.n, self.gen.tobytes()))
 
     def __contains__(self, v) -> bool:
-        v = np.asarray(v, dtype=np.int64)
-        if v.shape != (self.n,) or not _gfmat.in_field(v, self.spec):
+        v = _gfmat.field_array(v, self.spec)
+        if v is None or v.shape != (self.n,):
             return False
         return _gfmat.in_row_space(self.gen, self.pivots, v, self.spec)
 

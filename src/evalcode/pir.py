@@ -262,10 +262,10 @@ def verify_transitive(
     perms: list[np.ndarray] = []
     if generators is not None:
         for gsrc in generators:
-            arr = np.asarray(gsrc, dtype=np.int64)
+            arr = np.asarray(gsrc)  # checked before the cast, which truncates 1.5 to 1
             if arr.shape != (n,) or not np.array_equal(np.sort(arr), np.arange(n)):
                 raise ValueError("generator is not a permutation of the coordinates")
-            perms.append(arr)
+            perms.append(arr.astype(np.int64))
     if family is not None:
         if family.n_points != n:
             raise ValueError("family point count does not match code length")

@@ -300,30 +300,82 @@ def test_rref_rejects_arrays_above_two_dimensions():
         assert pivots == [1] and R.tolist() == [[0, 1, 1]]
 
 
+def _matmul_float_reference(A, B, spec):
+    """A @ B over a prime field by the float64 product that the exact
+    kernels replaced: the inner dimension in chunks of 2^53 // (p - 1)^2, so
+    that every partial sum is an exact float, each reduced mod p.  The
+    reference for _gfmat.matmul over a prime field."""
+    A = np.asarray(A, dtype=np.int64)
+    B = np.asarray(B, dtype=np.int64)
+    step = (1 << 53) // (spec.p - 1) ** 2
+    out = None
+    for s in range(0, max(A.shape[1], 1), step):  # one chunk at the least
+        part = A[:, s : s + step].astype(np.float64) @ B[s : s + step].astype(np.float64)
+        part = np.asarray(np.round(part), dtype=np.int64) % spec.p
+        out = part if out is None else (out + part) % spec.p
+    return out
+
+
+# GF(2) bitsets; prime fields on the narrow tables and, past the 2^10 table
+# limit, on the log path; extension fields of both characteristics
+MATMUL_FIELDS = [(2, 1), (3, 1), (7, 1), (31, 1), (1031, 1), (2, 2), (2, 3), (7, 2), (2, 6)]
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.data())
-def test_extension_matmul_matches_reference(data):
-    # A with zero columns, which the loop skips; residual and contains read
-    # the product, on members of C and on random words
-    for p, r in [(2, 2), (2, 3), (7, 2), (2, 6)]:
+def test_matmul_matches_reference(data):
+    # m, k and n down to 0, n past a byte of GF(2) bitset, A with zero rows
+    # and zero columns; residual and contains read the product, on members
+    # of C and on random words
+    for p, r in MATMUL_FIELDS:
         spec = make_field(p, r)
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
         m, k = (data.draw(st.integers(0, 10), label=name) for name in "mk")
-        n = data.draw(st.integers(1, 12), label="n")
+        n = data.draw(st.integers(0, 20), label="n")
         A = rng.integers(0, spec.q, (m, k))
         A[:, data.draw(st.lists(st.integers(0, max(k - 1, 0)), max_size=k), label="zero")] = 0
+        A[data.draw(st.lists(st.integers(0, max(m - 1, 0)), max_size=m), label="zero rows")] = 0
         B = rng.integers(0, spec.q, (k, n))
         out = _gfmat.matmul(A, B, spec)
-        assert out.dtype == np.int64
-        assert np.array_equal(out, _matmul_reference(A, B, spec))
+        reference = _matmul_float_reference if r == 1 else _matmul_reference
+        assert out.dtype == np.int64 and out.shape == (m, n)
+        assert np.array_equal(out, reference(A, B, spec)), (spec.q, A, B)
         C = LinearCode(spec, B)
         coef = rng.integers(0, spec.q, (m, C.k))
         coef[:, : data.draw(st.integers(0, C.k), label="unused")] = 0
         words = rng.integers(0, spec.q, (data.draw(st.integers(0, 3), label="words"), n))
-        V = np.concatenate([_matmul_reference(coef, C.gen, spec), words])
-        expect = spec.sub_arr(V, _matmul_reference(V[:, C.pivots], C.gen, spec))
+        V = np.concatenate([reference(coef, C.gen, spec), words])
+        expect = spec.sub_arr(V, reference(V[:, C.pivots], C.gen, spec))
         assert np.array_equal(_gfmat.residual(C.gen, C.pivots, V, spec), expect)
         assert contains(C, LinearCode(spec, V)) == (not expect.any())
+
+
+def test_matmul_rejects_shapes_that_do_not_multiply():
+    # a 2 x 2 by 3 x 4 product over GF(4) used two of B's three rows, and a
+    # 1 x 3 by 2 x 2 raised a bare IndexError
+    for spec in (F2, F4, F7):
+        for a, b in [((2, 2), (3, 4)), ((1, 3), (2, 2)), ((3,), (3, 2)), ((2, 3), (3,))]:
+            with pytest.raises(ValueError, match=re.escape(f"{a}") + ".*" + re.escape(f"{b}")):
+                _gfmat.matmul(np.ones(a, dtype=np.int64), np.ones(b, dtype=np.int64), spec)
+
+
+def test_non_integral_entries_are_not_field_elements():
+    # the int64 cast truncated 1.5 to 1 and turned NaN and inf into integers,
+    # so [1.5, 1.9, 0, 0] was a word of the code of [1, 1, 0, 0]
+    for spec in (F2, F4, F7):
+        C = LinearCode(spec, [[1, 1, 0, 0], [0, 0, 1, 1]])
+        for bad in (1.5, 0.5, np.nan, np.inf, -np.inf):
+            word = np.array([bad, 1, 0, 0])
+            assert word not in C
+            with pytest.raises(ValueError, match=re.escape(spec.name)):
+                LinearCode(spec, [word])
+            with pytest.raises(ValueError, match=re.escape(spec.name)):
+                rref([[0, 0], [bad, 1.0]], spec)
+        # integral floats and bools are still the integers they equal
+        assert np.array([1.0, 1.0, 0.0, 0.0]) in C and np.array([True, True, False, False]) in C
+        assert LinearCode(spec, [[1.0, 1, 0, 0]]) == LinearCode(spec, [[True, True, False, False]])
+        R, pivots = rref(np.array([[0.0, 1.0]]), spec)
+        assert pivots == [1] and R.dtype == np.int64 and R.tolist() == [[0, 1]]
 
 
 def test_prime_matmul_is_exact_past_float_precision():
@@ -610,6 +662,36 @@ def test_library_calls_no_numpy_set_routine():
                 if name in banned:
                     calls.append(f"{path.name}:{node.lineno}: {name}")
     assert not calls
+
+
+def test_library_uses_no_floating_point_or_blas():
+    # every product is exact integer arithmetic: no @, no numpy BLAS or
+    # linalg routine, no floating dtype and no rounding back to integers
+    blas = {"matmul", "dot", "vdot", "inner", "einsum", "tensordot", "linalg"}
+    floats = {"float16", "float32", "float64", "float128", "double", "longdouble"}
+    found = []
+    for path in sorted(Path(linear_code.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            where = f"{path.name}:{getattr(node, 'lineno', 0)}"
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+                found.append(f"{where}: @")
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                if node.value.id in ("np", "numpy") and node.attr in blas | floats | {"round", "around"}:
+                    found.append(f"{where}: np.{node.attr}")
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy"):
+                found += [f"{where}: {a.name}" for a in node.names if a.name in blas | floats]
+            elif isinstance(node, ast.Constant) and node.value in floats:
+                found.append(f"{where}: {node.value!r}")
+            elif isinstance(node, ast.Call):
+                name = getattr(node.func, "attr", None)
+                dtypes = [kw.value for kw in node.keywords if kw.arg == "dtype"]
+                dtypes += node.args[:1] if name == "astype" else []
+                found += [
+                    f"{where}: float dtype"
+                    for d in dtypes
+                    if getattr(d, "id", None) == "float" or getattr(d, "value", None) == "float"
+                ]
+    assert not found
 
 
 def test_library_imports_only_at_module_level():

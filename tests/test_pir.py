@@ -31,7 +31,7 @@ from evalcode.cyclotomic import (
     schur_subfield,
     subfield_code,
 )
-from evalcode.galois import primitive_element
+from evalcode.galois import make_field, primitive_element
 from evalcode.linear_code import LinearCode, dual, schur
 from evalcode.pir import (
     PROVED,
@@ -198,6 +198,17 @@ def test_verify_transitive_explicit_generators():
         verify_transitive(C, [np.zeros(15, dtype=int)])  # not a permutation
     with pytest.raises(ValueError):
         verify_transitive(C, [np.arange(14)])  # wrong length
+
+
+def test_verify_transitive_rejects_non_integral_generators():
+    # [1.5, 2, 3, 0] was cast to the shift [1, 2, 3, 0] and accepted
+    for spec in (make_field(2), make_field(2, 2), make_field(7)):
+        C = LinearCode(spec, [[1, 1, 1, 1]])
+        for bad in (1.5, np.nan, np.inf):
+            with pytest.raises(ValueError, match="not a permutation"):
+                verify_transitive(C, [np.array([bad, 2, 3, 0])])
+        assert verify_transitive(C, [np.array([1.0, 2.0, 3.0, 0.0])]) == VERIFIED
+        assert verify_transitive(LinearCode(spec, [[1, 1]]), [np.array([True, False])]) == VERIFIED
 
 
 def test_verify_transitive_rejects_non_preserving_permutation():
