@@ -10,6 +10,17 @@ The combinatorial layer mirrors the matrix layer exactly: Schur products are
 reduced Minkowski sums, duals are computed by removing every exponent whose
 evaluation pairs nonzero against the set, and distances are bounded by the
 footprint product.  Matrix-level counterparts in linear_code serve as oracles.
+
+The pairing rule is one sum per coordinate, of z^(a+b) over the points of
+Z_j.  The same sums give the inverse of the n x n evaluation matrix in closed
+form: family.dual_row(e) is the point vector u_e with <ev(X^a), u_e> = [a = e]
+for every a in the box, a product of one factor per coordinate (M^-1·h^(-e·i)
+on the units, with M = N_j - 1, and 0, 1 or -1 at a zero point).  dual(C_Δ)
+is the span of u_e over the box outside Δ, so evaluate eliminates whichever
+of the |Δ| monomial rows and the n - |Δ| dual rows is fewer.  dual_row is
+the matrix form of the pairing rule: in the basis of the u_e, ev(X^b) has
+the pairings <ev(X^b), ev(X^a)> as coordinates, so it lies in dual(C_Δ) iff
+b pairs zero with every member of Δ, which is what delta_dual tests.
 """
 
 from __future__ import annotations
@@ -23,7 +34,7 @@ import numpy as np
 
 from evalcode.galois import FieldElement, FieldError, FieldSpec, make_field, subgroup_roots
 from evalcode.galois import _ilog, _prime_factors
-from evalcode.linear_code import LinearCode
+from evalcode.linear_code import LinearCode, dual
 
 
 def field_from_order(q: int) -> FieldSpec:
@@ -127,16 +138,44 @@ class JAffineFamily:
         root_lists() puts h^0 .. h^(N_j - 2) after any zero point, so (h^i)^a is
         unit a·i mod (N_j - 1) and 0^a is [a = 0]; one mul_arr per coordinate
         spreads these factors over the points, in evaluation order."""
+        return self._coordinate_product(e, inverse=False)
+
+    def dual_row(self, e) -> np.ndarray:
+        """u_e with <ev(X^a), u_e> = [a = e] for every a in the box, or one row
+        per exponent vector of an (..., m) array: the columns of the inverse
+        of the evaluation matrix, and the matrix form of delta_dual's pairing
+        rule.
+
+        On coordinate j, with M = N_j - 1, the sum of (h^i)^(a - e) over the
+        units is M·[a ≡ e mod M], so a units coordinate's factor is
+        M^-1·h^(-e·i).  A full coordinate adds the zero point, where X^a is
+        [a = 0]: for 1 <= e <= M - 1 the factor is 0 there and M^-1·h^(-e·i)
+        elsewhere, for e = 0 it is the indicator of the zero point, and for
+        e = M it is -1 at the zero point and M^-1 elsewhere.  The factors
+        are spread over the points by monomial_row's loop."""
+        return self._coordinate_product(e, inverse=True)
+
+    def _coordinate_product(self, e, *, inverse: bool) -> np.ndarray:
+        """Rows that are products of one factor per coordinate: monomial_row's
+        factor, or with inverse dual_row's."""
+        spec = self.spec
         e = np.asarray(e, dtype=np.int64)
         lead = e.shape[:-1]
         row = np.ones(lead + (1,), dtype=np.int64)
         for j, roots in enumerate(self.root_lists()):
             mod = self.N[j] - 1
             a = e[..., j, None]
-            factor = np.asarray(roots[len(roots) - mod :])[a % mod * np.arange(mod) % mod]
+            power = -a if inverse else a
+            factor = np.asarray(roots[len(roots) - mod :])[power % mod * np.arange(mod) % mod]
+            zero = (a == 0).astype(np.int64)
+            if inverse:  # the factors dual_row's docstring derives
+                factor = spec.scale_arr(spec.inv(mod % spec.p), factor)
+                if len(roots) > mod:
+                    factor = factor * (1 - zero)
+                    zero = np.where(a == mod, spec.neg(1), zero)
             if len(roots) > mod:  # the zero point
-                factor = np.concatenate([(a == 0).astype(np.int64), factor], axis=-1)
-            outer = self.spec.mul_arr(row[..., :, None], factor[..., None, :])
+                factor = np.concatenate([zero, factor], axis=-1)
+            outer = spec.mul_arr(row[..., :, None], factor[..., None, :])
             row = outer.reshape(lead + (outer.shape[-2] * outer.shape[-1],))
         return row
 
@@ -243,12 +282,22 @@ def point_set(family: JAffineFamily) -> list[tuple[FieldElement, ...]]:
 
 
 def evaluate(family: JAffineFamily, delta: DefiningSet) -> LinearCode:
-    """C_Δ = span{ev(X^e) : e in Δ}; dimension is exactly |Δ|."""
+    """C_Δ = span{ev(X^e) : e in Δ}; dimension is exactly |Δ|.
+
+    The elimination takes the side with fewer rows.  The dual rows u_e of
+    family.dual_row are the columns of the inverse evaluation matrix, so
+    dual(C_Δ) is spanned by u_e for e in the box outside Δ.  When
+    2|Δ| > n, C_Δ is read off those n - |Δ| rows as the dual of their span;
+    otherwise it is the span of the |Δ| monomial rows.
+    """
     if delta.family != family:
         raise ValueError("defining set belongs to a different family")
     if len(delta) == 0:
         return LinearCode.zero(family.spec, family.n_points)
-    C = LinearCode(family.spec, family.monomial_row(np.argwhere(delta.mask)))
+    if 2 * len(delta) > family.n_points:
+        C = dual(LinearCode(family.spec, family.dual_row(np.argwhere(~delta.mask))))
+    else:
+        C = LinearCode(family.spec, family.monomial_row(np.argwhere(delta.mask)))
     assert C.k == len(delta), "monomial evaluation must be injective"
     return C
 
@@ -279,6 +328,11 @@ def delta_dual(family: JAffineFamily, delta: DefiningSet) -> DefiningSet:
     mask one axis at a time (a take by the complement map, then the diagonal
     entries on a full coordinate) onto the paired exponents; the dual is the
     rest of the box.
+
+    family.dual_row is the matrix form of this rule.  Its rows u_e invert the
+    evaluation matrix, so ev(X^b) = sum over a of <ev(X^b), ev(X^a)>·u_a, and
+    dual(evaluate(Δ)) is the span of u_a over a outside Δ: ev(X^b) lies in
+    it iff b pairs zero with every member of Δ.
 
     evaluate(delta_dual(Δ)) ⊆ dual(evaluate(Δ)) always, with equality iff the
     paired set has |Δ| members — in particular whenever Δ ⊆ E' and p | N_j for

@@ -403,10 +403,12 @@ def _isd_witness(C, w, budget):
 
 
 def is_cyclic(C: LinearCode) -> bool:
-    """True iff the code is invariant under the cyclic coordinate shift: the
-    shifted generator rows are all orthogonal to the dual's."""
-    shifted = np.roll(C.gen, 1, axis=1)
-    return not np.any(_gfmat.matmul(shifted, dual(C).gen.T, C.spec))
+    """True iff the code is invariant under the cyclic coordinate shift.  A
+    code is cyclic iff its dual is, so the side with fewer rows is shifted:
+    its shifted generator rows must all be orthogonal to the other side's."""
+    small, other = sorted((C, dual(C)), key=lambda code: code.k)
+    shifted = np.roll(small.gen, 1, axis=1)
+    return not np.any(_gfmat.matmul(shifted, other.gen.T, C.spec))
 
 
 def cyclic_min_weight_upto(C: LinearCode, w_cap: int) -> DistanceResult:

@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evalcode import linear_code
+from evalcode import _gfmat, linear_code
+from evalcode._gfmat import in_row_space, matmul
 from evalcode.cartesian import (
     DefiningSet,
     JAffineFamily,
@@ -233,6 +234,76 @@ def test_whole_set_operations_make_no_per_exponent_call(monkeypatch):
         return count[0]
 
     assert calls(sq) == calls(DefiningSet(f, [sq.elems[0]]))
+
+
+# one to three coordinates with mixed J; full coordinates with p | N_j in every
+# field and with p ∤ N_j in GF(3), GF(7), GF(9) and GF(49); N_j = 2 on full
+# and units coordinates
+INVERSE_FAMILIES = [
+    (2, [2], []),
+    (2, [2, 2, 2], [2]),
+    (3, [3, 2], [2]),
+    (3, [2, 3], []),
+    (4, [4, 2], [1]),
+    (4, [4, 4], []),
+    (7, [7], []),
+    (7, [3, 7], [2]),
+    (7, [4, 2, 3], [1]),
+    (8, [8, 8], [1]),
+    (8, [2, 8], []),
+    (9, [9, 3], [2]),
+    (9, [5, 3], []),
+    (16, [16], [1]),
+    (16, [6, 4, 2], [3]),
+    (49, [7, 7], []),
+    (49, [5, 4], [1]),
+    (49, [13], []),
+    (49, [25, 3], [2]),
+]
+
+
+@pytest.mark.parametrize(
+    "q,N,J", INVERSE_FAMILIES, ids=[f"q{q}-N{N}-J{J}" for q, N, J in INVERSE_FAMILIES]
+)
+def test_dual_rows_invert_the_evaluation_matrix(q, N, J):
+    f = fam(q, N, J)
+    box = f.box()
+    V, U = f.monomial_row(box), f.dual_row(box)
+    assert np.array_equal(matmul(V, U.T, f.spec), np.eye(f.n_points, dtype=np.int64))
+    assert all(np.array_equal(f.dual_row(e), row) for e, row in zip(box, U))
+    # delta_dual's pairing rule is the zero pattern of the Gram matrix V·V^T
+    for e, row in zip(box, matmul(V, V.T, f.spec)):
+        assert paired_set(f, e) == {b for b, g in zip(box, row) if g}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(INVERSE_FAMILIES), st.data())
+def test_evaluate_matches_monomial_span(family, data):
+    # sizes on both sides of 2|Δ| = n, where evaluate changes side
+    f = fam(*family)
+    n = f.n_points
+    edges = st.sampled_from(sorted({0, 1, n // 2, n // 2 + 1, n - 1, n}))
+    size = data.draw(edges | st.integers(0, n), label="|Δ|")
+    delta = DefiningSet(f, data.draw(st.permutations(f.box()), label="box order")[:size])
+    C = evaluate(f, delta)
+    assert C == linear_code.LinearCode(f.spec, f.monomial_row(np.argwhere(delta.mask)))
+    dd = delta_dual(f, delta)
+    D, E = linear_code.dual(C), evaluate(f, dd)
+    assert in_row_space(D.gen, D.pivots, E.gen, f.spec)
+    assert (D == E) == dual_is_exact(f, delta, dd)
+
+
+def test_high_rate_evaluate_eliminates_the_smaller_side(monkeypatch):
+    f = fam(49, [49, 7])
+    delta = DefiningSet(f, random.Random(5).sample(f.box(), 330))
+    assert 2 * len(delta) > f.n_points
+    rows = []
+    rref = _gfmat.rref
+    monkeypatch.setattr(
+        _gfmat, "rref", lambda M, spec: rows.append(np.atleast_2d(M).shape[0]) or rref(M, spec)
+    )
+    assert evaluate(f, delta).k == 330
+    assert rows and max(rows) <= f.n_points - 330
 
 
 # ---------------------------------------------------------------- Minkowski

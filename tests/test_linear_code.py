@@ -1261,8 +1261,11 @@ def test_is_cyclic_matches_shift_membership(data):
             k = data.draw(st.integers(0, n), label="k")
             entries = st.lists(st.integers(0, spec.q - 1), min_size=n * k, max_size=n * k)
             C = LinearCode(spec, np.array(data.draw(entries), dtype=np.int64).reshape(k, n))
-        assert is_cyclic(C) == _shift_rows_in_code(C)
-        assert is_cyclic(puncture(C, [0])) == _shift_rows_in_code(puncture(C, [0]))
+        # a drawn cyclic code is the side with fewer words, so its dual has
+        # k >= n/2, and is_cyclic then shifts the dual's rows, not the code's
+        for code in (C, dual(C)):
+            assert is_cyclic(code) == _shift_rows_in_code(code)
+            assert is_cyclic(puncture(code, [0])) == _shift_rows_in_code(puncture(code, [0]))
 
 
 @settings(max_examples=30, deadline=None)
