@@ -6,9 +6,13 @@ codes are equal iff their stored matrices are equal.  Distance work never claims
 exactness without a certified lower bound *and* an explicit codeword witness:
 the engines here either enumerate exhaustively, exclude all supports of a
 given size, or search for witnesses (deterministic seeded search), and
-min_distance is the one planner over them.  The enumeration is exact over
-every field and holds at most _TABLE_ENTRIES word entries at once.  The
-support search is one syndrome split search that works over every field;
+min_distance is the one planner over them.  Its first step applies that rule
+directly: when the caller's proved lower bound equals the target weight, a
+verified witness of that weight makes the distance exact ("proved bound")
+before anything is enumerated; a bound that is not tight costs up to
+_ISD_ITERS witness iterations before the enumeration.  The enumeration is
+exact over every field and holds at most _TABLE_ENTRIES word entries at once.
+The support search is one syndrome split search that works over every field;
 when its budget runs out it returns the levels it has excluded, never raising.
 """
 
@@ -611,11 +615,18 @@ def min_distance(
 ) -> DistanceResult:
     """Certified bracket on d(C): the one distance planner.
 
-    1. A code with at most _ENUMERATION_CAP codewords is enumerated, exactly.
-    2. Otherwise the lower end is `lower`, a bound the caller has proved, or
-       else one more than the weight the support search excluded, searching
-       up to `target` (or its level cap); a word it finds closes the bracket.
-    3. When `target` is given and the lower end is at most `target`, the
+    1. When `lower`, a bound the caller has proved, equals `target`, the
+       seeded information-set search first looks for a weight-`target`
+       codeword; one it finds makes d = `lower` exact ("proved bound") and
+       nothing is enumerated.  Without a word, a code too large for step 2
+       gets [`lower`, n], the bracket step 4 would give; a small code is
+       enumerated, so a `lower` that is not tight costs up to _ISD_ITERS
+       witness iterations before the enumeration.
+    2. A code with at most _ENUMERATION_CAP codewords is enumerated, exactly.
+    3. Otherwise the lower end is `lower`, or else one more than the weight
+       the support search excluded, searching up to `target` (or its level
+       cap); a word it finds closes the bracket.
+    4. When `target` is given and the lower end is at most `target`, the
        seeded information-set search looks for a weight-`target` codeword for
        the upper end.  Without one the upper end is n.
 
@@ -624,9 +635,14 @@ def min_distance(
     """
     if C.k == 0:
         raise ValueError("minimum distance of the zero code is undefined")
+    budget = budget or SearchBudget()
+    if lower is not None and lower == target:
+        # lower <= d, and a weight-target word gives d <= target = lower
+        wit = _isd_witness(C, target, budget)
+        if wit is not None or C.spec.q**C.k > _ENUMERATION_CAP:
+            return DistanceResult(lower, C.n if wit is None else target, wit, how="proved bound")
     if C.spec.q**C.k <= _ENUMERATION_CAP:
         return exhaustive_min_weight(C)
-    budget = budget or SearchBudget()
     how = "proved bound"
     if lower is None:
         excluded, word = low_weight_search(C, target or C.n, budget)

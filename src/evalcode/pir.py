@@ -625,15 +625,13 @@ _CYC48_ORDER = [
 ]
 
 # How each bold row certifies d(D^perp).  Every route ends in `min_distance`,
-# which enumerates the small codes of rows 14-16 ("exhaustive") and otherwise
-# takes its upper end from a witness search.  The routes differ in where the
-# lower bound comes from: the support search ("search"), an uncapped syndrome
-# split search ("split"), the consecutive-roots bound (the default, "bch"), or
-# the fixed-window search that cyclicity allows ("window"), which is exact.
-_CYC48_STRATEGY = {
-    1: "search", 3: "search", 4: "split", 13: "window",
-    14: "exhaustive", 15: "exhaustive", 16: "exhaustive",
-}
+# which takes its upper end from a witness search.  The routes differ in where
+# the lower bound comes from: the support search ("search"), an uncapped
+# syndrome split search ("split"), the consecutive-roots bound (the default,
+# "bch"), or the fixed-window search that cyclicity allows ("window"), which is
+# exact.  On rows 14-16 the bound already meets the printed distance, so the
+# witness alone makes it exact and nothing is enumerated.
+_CYC48_STRATEGY = {1: "search", 3: "search", 4: "split", 13: "window"}
 
 
 def _certify_distance(
@@ -649,7 +647,7 @@ def _certify_distance(
         if word is not None:
             return DistanceResult(excluded + 1, excluded + 1, word, how="syndrome split search")
         lower = excluded + 1
-    elif strategy not in ("search", "exhaustive"):
+    elif strategy != "search":
         lower = dual_bch_bound(family, qprime, delta)
     return min_distance(Dd, budget, lower=lower, target=target)
 

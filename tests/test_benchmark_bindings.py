@@ -63,7 +63,7 @@ def _workloads(monkeypatch):
 
 
 def test_uncapped_cyclic48_ops_pass_their_checks(monkeypatch):
-    # b1 (search), b2 (bch) and b15 (exhaustive) go through pir._certify_distance
+    # b1 (search), b2 (bch) and b15 (bch) go through pir._certify_distance
     ops = [op for op in _workloads(monkeypatch).Certify(0).ops if op.label.endswith(", exact)")]
     assert [op.label.split()[1] for op in ops] == ["b1", "b2", "b15"]
     for op in ops:

@@ -5,7 +5,6 @@ independent scripts — orbit enumeration, combinatorial dual counts, and
 low-weight searches — and are asserted here as frozen constants.
 """
 
-import itertools
 from unittest import mock
 
 import numpy as np
@@ -128,16 +127,22 @@ def test_css_params_certifies_reed_muller_pair_distance():
     assert params.d_lower == 4
 
 
+def _scalar_words(C):
+    """Every word of C as a tuple, in scalar field ops: the words of the
+    first i + 1 rows are those of the first i plus each multiple of row i."""
+    spec, words = C.spec, [(0,) * C.n]
+    for row in C.gen.tolist():
+        multiples = [[spec.mul(c, y) for y in row] for c in range(spec.q)]
+        words = [tuple(map(spec.add, w, m)) for m in multiples for w in words]
+    return words
+
+
 def brute_relative_weight(A, B):
-    """Least weight of a word of A outside B, word by word in scalar field ops."""
-    spec, best = A.spec, A.n + 1
-    for msg in itertools.product(range(spec.q), repeat=A.k):
-        word = [0] * A.n
-        for c, row in zip(msg, A.gen.tolist()):
-            word = [spec.add(x, spec.mul(c, y)) for x, y in zip(word, row)]
-        if np.array(word) not in B:
-            best = min(best, sum(1 for x in word if x))
-    return best
+    """Least weight of a word of A outside B: B's words are listed once, and
+    each word of A is looked up among them."""
+    in_B = set(_scalar_words(B))
+    weights = (sum(1 for x in word if x) for word in _scalar_words(A) if word not in in_B)
+    return min(weights, default=A.n + 1)
 
 
 @settings(max_examples=20, deadline=None)

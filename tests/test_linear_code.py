@@ -972,6 +972,9 @@ def test_min_distance_with_a_proved_bound(monkeypatch):
     res = min_distance(rm, lower=8, target=8)
     assert res.exact and res.lower == 8 and res.how == "proved bound"
     assert int(np.count_nonzero(res.witness)) == 8 and res.witness in rm
+    # a bound below d that no word meets leaves the upper end at n
+    loose = min_distance(rm, lower=7, target=7)
+    assert (loose.lower, loose.upper, loose.how, loose.witness) == (7, 16, "proved bound", None)
     # weight 8 lies past the binary support search's level cap of 6
     unproved = min_distance(rm, target=8)
     assert (unproved.lower, unproved.upper, unproved.how) == (7, 8, "support exclusion")
@@ -1014,7 +1017,15 @@ def test_min_distance_planner_agrees_with_scalar_reference(data):
         res = min_distance(C, lower=lower, target=target)
     assert res.lower <= d <= res.upper
     if cap > 1:
-        assert res.how == "exhaustive enumeration" and res.exact
+        # a tight proved bound that a witness meets ends the planner first
+        # (the witness search is deterministic); otherwise it enumerates
+        proved = (
+            lower is not None
+            and lower == target
+            and linear_code._isd_witness(C, target, SearchBudget()) is not None
+        )
+        assert res.exact
+        assert res.how == ("proved bound" if proved else "exhaustive enumeration")
     elif lower is not None:
         assert res.how == "proved bound" and res.lower == lower
     elif res.how == "low-weight support search":

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from evalcode import pir
+from evalcode import linear_code, pir
 from evalcode._report import check_report, columns_of
 from evalcode.cartesian import (
     DefiningSet,
@@ -27,12 +27,13 @@ from evalcode.cartesian import (
 from evalcode.cyclotomic import (
     closure,
     consecutive_union,
+    dual_bch_bound,
     representatives,
     schur_subfield,
     subfield_code,
 )
 from evalcode.galois import make_field, primitive_element
-from evalcode.linear_code import LinearCode, dual, schur
+from evalcode.linear_code import LinearCode, dual, min_distance, schur
 from evalcode.pir import (
     PROVED,
     UNVERIFIED,
@@ -591,6 +592,36 @@ def test_table_cyclic48_privacy_exception_row():
         else:
             assert bold >= shaded
     assert comparable >= 8
+
+
+def _cyc48_bold_dual(key):
+    """The family, D's defining set and dual(D) for cyclic48's bold row `key`."""
+    f = fam(49, (49,), (1,))
+    delta = closure(f, 7, DefiningSet(f, [(e,) for e in pir._CYC48_BOLD_REPS[key]]))
+    return f, delta, dual(subfield_code(f, 7, delta))
+
+
+@pytest.mark.parametrize("key,d", [(14, 33), (15, 34), (16, 35)])
+def test_cyc48_tight_bch_bound_ends_the_planner_before_enumeration(monkeypatch, key, d):
+    f, delta, Dd = _cyc48_bold_dual(key)
+    bound = dual_bch_bound(f, 7, delta)
+    assert bound == d and pir._CYC48_STRATEGY.get(key, "bch") == "bch"
+
+    def no_enumeration(*args):
+        raise AssertionError("min_distance enumerated")
+
+    monkeypatch.setattr(linear_code, "min_weight_from", no_enumeration)
+    res = min_distance(Dd, lower=bound, target=bound)
+    assert (res.lower, res.upper, res.how) == (d, d, "proved bound")
+    assert int(np.count_nonzero(res.witness)) == d and res.witness in Dd
+
+
+def test_cyc48_bound_below_the_distance_falls_back_to_enumeration():
+    # no word of weight d - 1 exists, so the witness step finds none
+    _, _, Dd = _cyc48_bold_dual(16)
+    res = min_distance(Dd, lower=34, target=34)
+    assert (res.lower, res.upper, res.how) == (35, 35, "exhaustive enumeration")
+    assert int(np.count_nonzero(res.witness)) == 35 and res.witness in Dd
 
 
 def test_table_IV_privacy_ladder():
