@@ -462,44 +462,93 @@ def _unit_sums(rows, n, t, p, *, lead_one=False, through_zero=False):
     a support's units as u - 1, in itertools.product order (the last position
     varies fastest); with lead_one the first unit is 1.  With through_zero
     only the subsets holding position 0 are enumerated.  acc[s, g] is the sum
-    of rows[grids[g, j], supports[s, j]] over j, reduced mod p in the
-    narrowest dtype that holds the sums.  A block holds at most _BLOCK_CELLS
+    of rows[grids[g, j], supports[s, j]] over j, reduced mod p, built by
+    _prefix_sums at one add an entry.  A block holds at most _BLOCK_CELLS
     digits, or one entry; a block that splits the grids holds one support, so
     the blocks' entries, concatenated, are in support-major order.
     """
     units, _, m = rows.shape
-    dtype = np.min_scalar_type(t * (p - 1)).type
-    table = rows.astype(dtype, copy=False).reshape(units * n, m)  # row (u-1)*n + i
+    # table[i, u - 1], unsigned and wide enough for the sum of two reduced digits
+    table = rows.transpose(1, 0, 2).astype(np.min_scalar_type(2 * (p - 1)), order="C")
     free = t - lead_one
     ngrids = units**free
     gstep = max(1, min(ngrids, _BLOCK_CELLS // max(m, 1)))
     sstep = max(1, _BLOCK_CELLS // (gstep * max(m, 1))) if gstep == ngrids else 1
     places = units ** np.arange(free - 1, -1, -1, dtype=np.int64)
+    grids = None
     for sup in _combination_chunks(n - through_zero, t - through_zero, sstep):
         if through_zero:
-            sup = np.insert(sup + 1, 0, 0, axis=1)
+            sup = np.concatenate((np.zeros((len(sup), 1), dtype=np.int64), sup + 1), axis=1)
         for g0 in range(0, ngrids, gstep):
-            ranks = np.arange(g0, min(g0 + gstep, ngrids), dtype=np.int64)
-            grids = ranks[:, None] // places % units
-            if lead_one:
-                grids = np.insert(grids, 0, 0, axis=1)
-            acc = np.zeros((len(sup), len(grids), m), dtype=dtype)
-            if lead_one:
-                acc += table[sup[:, None, 0]]
-            for j in range(lead_one, t):
-                acc += table[grids[None, :, j] * n + sup[:, None, j]]
-            acc -= acc // dtype(p) * dtype(p)  # acc %= p; NumPy vectorizes integer division, not %
-            yield sup, grids, acc
+            g1 = min(g0 + gstep, ngrids)
+            if grids is None or gstep < ngrids:  # else one grid block serves every support block
+                grids = np.zeros((g1 - g0, t), dtype=np.int64)
+                grids[:, lead_one:] = np.arange(g0, g1, dtype=np.int64)[:, None] // places % units
+            yield sup, grids, _prefix_sums(table, sup, g0, g1, lead_one, p)
+
+
+def _prefix_sums(table, sup, g0, g1, lead_one, p):
+    """The acc of _unit_sums for the supports sup and the grids of rank g0 to
+    g1 - 1, from table[i, u - 1], the digits of u times column i.
+
+    The sums of sup's distinct (t-1)-prefixes are built one position at a
+    time, each level's from the last by broadcasting one table row per
+    (position, unit); only the grids that some grid of the block extends are
+    kept.  Each support then adds one row per last unit to its prefix's sums.
+    A sum of two digits below p is reduced by min(x, x - p), since in an
+    unsigned dtype x - p wraps above x when x < p.
+    """
+    s, t = sup.shape
+    units, m = table.shape[1:]
+    if t == 0:
+        return np.zeros((s, 1, m), dtype=table.dtype)
+    free = t - lead_one
+    p = table.dtype.type(p)
+    if t > 1:
+        # a lexicographic run of subsets leaves a (t-1)-prefix only after
+        # position n - 1, and within one the last position rises
+        new = np.ones(s, dtype=bool)
+        np.less_equal(sup[1:, -1], sup[:-1, -1], out=new[1:])
+        first, parent = np.flatnonzero(new), np.cumsum(new) - 1
+    acc, lo = None, 0  # the prefix sums, and the rank of their first grid
+    for j in range(t):
+        u = 1 if lead_one and j == 0 else units
+        span = units ** (free - (j + 1 - lead_one))  # grids of the block per prefix grid
+        last = j == t - 1
+        nxt = table[sup[slice(None) if last else first, j], None, :u]
+        if j:
+            nxt = np.add((acc[parent] if last else acc)[:, :, None], nxt)
+            np.minimum(nxt, nxt - p, out=nxt)
+        nxt = nxt.reshape(len(nxt), nxt.shape[1] * u, m)
+        acc, lo = nxt[:, g0 // span - lo * u : (g1 - 1) // span + 1 - lo * u], g0 // span
+    return acc
 
 
 def _combination_chunks(n: int, t: int, rows: int):
-    """All t-subsets of range(n), in lexicographic order, as arrays of <= rows rows."""
-    it = itertools.combinations(range(n), t)
+    """All t-subsets of range(n), in lexicographic order, as int64 arrays of
+    `rows` rows (the last one may be shorter).
+
+    Each chunk is unranked in numpy, a position at a time.  Let rem count the
+    subsets at or after one.  Its first position c is the least with
+    C(n - 1 - c, t) < rem, and the rest is a (t-1)-subset above c with
+    rem - C(n - 1 - c, t) at or after it.  The searches run on -rem, which
+    rises along a chunk.
+    """
     total = math.comb(n, t)
+    # counts above total compare alike, and so are clipped to it, inside int64
+    cap = min(total, (1 << 63) - 1)
+    # tails[j - 1][c] = -C(n - 1 - c, j), nondecreasing in c, by Pascal's rule
+    col, tails = [1] * n, []  # col[x] = C(x, j), clipped at cap
+    for _ in range(t):
+        col = [0, *itertools.accumulate(col[:-1], lambda x, y: min(x + y, cap))]
+        tails.append(-np.array(col[::-1], dtype=np.int64))
     for lo in range(0, total, rows):
-        m = min(rows, total - lo)
-        flat = itertools.chain.from_iterable(itertools.islice(it, m))
-        yield np.fromiter(flat, dtype=np.int64, count=m * t).reshape(m, t)
+        key = np.arange(lo - total, min(lo + rows, total) - total, dtype=np.int64)  # -rem
+        sup = np.empty((len(key), t), dtype=np.int64)
+        for j, tail in enumerate(reversed(tails)):
+            sup[:, j] = c = np.searchsorted(tail, key, side="right")
+            key -= tail[c]
+        yield sup
 
 
 def _syndrome_sketch(C: LinearCode) -> np.ndarray:
@@ -535,6 +584,45 @@ def _keys(acc: np.ndarray, p: int) -> np.ndarray:
     return keys.reshape(-1)
 
 
+def _stable_order(keys: np.ndarray) -> np.ndarray:
+    """np.argsort(keys, kind="stable") for int64 keys, from the faster
+    default argsort.
+
+    The default sort leaves each run of equal keys in some order; numbering
+    the runs and sorting run << bits | index once puts every run back in
+    index order.  Needs fewer than 2^31 keys.  Besides keys it holds two
+    int64 and one bool per entry: the order, the sorted keys (overwritten by
+    their run numbers) and the comparison that numbers the runs.
+    """
+    order = np.argsort(keys)
+    runs = keys[order]
+    np.cumsum(runs[1:] != runs[:-1], out=runs[1:])
+    runs[:1] = 0
+    bits = len(keys).bit_length()
+    runs <<= bits
+    runs |= order
+    runs.sort()
+    runs &= (1 << bits) - 1
+    return runs
+
+
+def _high_half(rows, n, b, p, bgrids):
+    """The split search's high half-table at level b: its sorted keys, their
+    order (each an entry's index in enumeration order, support-major), the
+    supports and, per sorted key, its support's first position (n for b = 0).
+    Ties keep enumeration order, so a run's last entry starts latest."""
+    keys, sups = [], []
+    for sup, grids, acc in _unit_sums((p - rows) % p, n, b, p):  # negated syndromes
+        keys.append(_keys(acc, p))
+        if not grids[0].any():  # the grids start over: a new block of supports
+            sups.append(sup)
+    keys, sups = np.concatenate(keys), np.concatenate(sups)
+    order = _stable_order(keys)
+    keys = keys[order]
+    first = (sups[:, 0] if b else np.full(len(sups), n))[order // bgrids]
+    return keys, order, sups, first
+
+
 def syndrome_split_search(
     C: LinearCode, w_max: int, budget: SearchBudget | None = None
 ) -> tuple[int, np.ndarray | None]:
@@ -543,8 +631,8 @@ def syndrome_split_search(
     Works over every field.  Each weight-w support splits uniquely into its
     ceil(w/2) lowest and floor(w/2) highest positions.  Both halves are
     enumerated by _unit_sums as arrays of syndrome keys (the low half with
-    leading coefficient 1, the high half negated), and a sorted join finds
-    every cancelling pair; a key match counts only once the word passes
+    leading coefficient 1, the high half negated; levels 2b and 2b + 1 share
+    one high half), and a sorted join finds every cancelling pair; a key match counts only once the word passes
     membership in C, so each completed level is an exhaustive certificate.
     When is_cyclic(C) holds, only low halves whose lowest position is 0 are
     enumerated: every word has a cyclic shift of equal weight whose support
@@ -559,29 +647,24 @@ def syndrome_split_search(
     budget = budget or SearchBudget()
     n, p = C.n, spec.p
     rows = cyclic = None
+    held = -1  # the level b of the high half-table held
     for w in range(1, min(w_max, n) + 1):
         a, b = (w + 1) // 2, w // 2
         a_count = math.comb(n, a) * (spec.q - 1) ** (a - 1)
         b_count = math.comb(n, b) * (spec.q - 1) ** b
         # the high half peaks at four int64 per entry while bfirst is gathered
         # (sorted key, order, order // bgrids, first position), plus b int64
-        # positions per support
+        # positions per support; _stable_order peaks at three and a bit
         table_bytes = 8 * (4 * b_count + b * math.comb(n, b))
         if a_count + b_count > budget.steps or table_bytes > _SPLIT_TABLE_BYTES:
             return w - 1, None
         if rows is None:
             rows, cyclic = _syndrome_sketch(C), is_cyclic(C)
-        bkeys, bsup = [], []
-        for sup, grids, acc in _unit_sums((p - rows) % p, n, b, p):  # negated syndromes
-            bkeys.append(_keys(acc, p))
-            if not grids[0].any():  # the grids start over: a new block of supports
-                bsup.append(sup)
-        bkeys, bsup, bgrids = np.concatenate(bkeys), np.concatenate(bsup), (spec.q - 1) ** b
-        # stable, so within a run of equal keys the high halves start in
-        # increasing position and the run's last entry starts latest
-        order = np.argsort(bkeys, kind="stable")
-        bkeys = bkeys[order]
-        bfirst = (bsup[:, 0] if b else np.full(len(bsup), n))[order // bgrids]
+        bgrids = (spec.q - 1) ** b
+        if b != held:  # levels 2b and 2b + 1 share one high half-table
+            bkeys = order = bsup = bfirst = None  # freed before the next one is built
+            bkeys, order, bsup, bfirst = _high_half(rows, n, b, p, bgrids)
+            held = b
         for asup, agrids, acc in _unit_sums(rows, n, a, p, lead_one=True, through_zero=cyclic):
             akeys = _keys(acc, p)
             aorder = np.argsort(akeys)  # sorted needles keep the searches cache-local

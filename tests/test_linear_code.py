@@ -1372,6 +1372,73 @@ def test_window_kernel_enumerates_each_normalized_message_once(p):
                 assert sorted(msgs) == sorted(map(tuple, normalized))
 
 
+def test_combination_chunks_match_itertools():
+    # order and chunk sizes, including t = 0 (one empty subset), t = n and
+    # t > n (no chunk), with one row a chunk and chunks past the total
+    for n in range(9):
+        for t in range(n + 2):
+            for rows in (1, 2, 3, 7, 100):
+                chunks = list(linear_code._combination_chunks(n, t, rows))
+                assert all(c.dtype == np.int64 and c.shape[1] == t for c in chunks)
+                total = len(list(itertools.combinations(range(n), t)))
+                sizes = [rows] * (total // rows) + ([total % rows] if total % rows else [])
+                assert [len(c) for c in chunks] == sizes, (n, t, rows)
+                got = [tuple(int(i) for i in row) for c in chunks for row in c]
+                assert got == list(itertools.combinations(range(n), t)), (n, t, rows)
+
+
+def test_combination_chunks_memory_is_bounded():
+    # the 3-subsets of range(1024) number 178 M; the first chunks are drawn
+    # without building more than a few chunks' worth of positions
+    rows, t = 1 << 16, 3
+    tracemalloc.start()
+    try:
+        chunks = linear_code._combination_chunks(1024, t, rows)
+        drawn = [next(chunks) for _ in range(3)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * rows * t * 8
+    expected = itertools.islice(itertools.combinations(range(1024), t), 3 * rows)
+    assert np.array_equal(np.concatenate(drawn), np.array(list(expected)))
+
+
+@pytest.mark.parametrize(
+    "keys",
+    [
+        np.random.default_rng(0).integers(0, 3, size=5000),  # heavy ties
+        np.random.default_rng(1).permutation(5000) * 7 - 20000,  # none, some negative
+        np.full(300, 4),
+        np.array([9]),
+        np.array([], dtype=np.int64),
+    ],
+    ids=["heavy-ties", "no-ties", "all-equal", "one", "empty"],
+)
+def test_stable_order_matches_stable_argsort(keys):
+    keys = keys.astype(np.int64)
+    order = linear_code._stable_order(keys)
+    assert order.dtype == np.int64
+    assert np.array_equal(order, np.argsort(keys, kind="stable"))
+
+
+def test_split_search_builds_each_high_half_once():
+    # levels 2b and 2b + 1 share the high half-table of b positions; the
+    # high half is the one enumeration made without a leading coefficient 1
+    spec = make_field(3, 1)
+    C = LinearCode(spec, np.random.default_rng(4).integers(0, 3, size=(3, 20)))
+    assert exhaustive_min_weight(C).lower > 5
+    built, unit_sums = [], linear_code._unit_sums
+
+    def recording(rows, n, t, p, **kw):
+        if not kw.get("lead_one"):
+            built.append(t)
+        return unit_sums(rows, n, t, p, **kw)
+
+    with mock.patch.object(linear_code, "_unit_sums", recording):
+        assert syndrome_split_search(C, 5) == (5, None)
+    assert built == [0, 1, 2]
+
+
 def test_cyclic_window_memory_is_bounded():
     # a random [48,13] cyclic code over GF(7): level 4 of the window has
     # 715 supports times 216 grids, each a 35-entry word outside the window
