@@ -19,6 +19,12 @@ matmul over every field but GF(2) accumulates through it too.  nullspace reads
 the dual off a basis that is the identity on an information set, and makes
 its second elimination on the side with fewer rows.
 
+kernel_image gives the RREF basis of {x @ V : x @ K = 0} from one elimination
+of the wide matrix [K | V], with no nullspace and no product: the reduced rows
+that pivot past K's columns are zero on K and span the set.  It takes K and V
+in their own integer dtype (the narrow GF(p) digits of subfield_subcode) and
+widens only the rows it keeps.
+
 Membership has one rule: an RREF R is the identity on its pivot columns, so
 a row of V lies in R's row space iff its row of residual(R, pivots, V) =
 V - V[:, pivots] @ R is zero; in_row_space asks it of a vector or a matrix.
@@ -45,7 +51,7 @@ from evalcode.galois import FieldSpec
 
 def pack_rows(M: np.ndarray) -> list[int]:
     """Pack each 0/1 row of the matrix M into a Python int (bit j = column j)."""
-    M = np.ascontiguousarray(M.astype(np.uint8))
+    M = np.ascontiguousarray(M, dtype=np.uint8)
     packed = np.packbits(M, axis=1, bitorder="little")
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
@@ -97,6 +103,7 @@ def rref_bits(rows: list[int]) -> tuple[list[int], list[int]]:
 
 
 def _rref_generic(M: np.ndarray, spec: FieldSpec) -> tuple[np.ndarray, list[int]]:
+    """rref by the table path; the reduced rows stay in ``spec.dtype``."""
     A = np.array(M, dtype=spec.dtype)
     nrows, ncols = A.shape
     r = 0
@@ -120,7 +127,7 @@ def _rref_generic(M: np.ndarray, spec: FieldSpec) -> tuple[np.ndarray, list[int]
             A[hit, c:] = spec.sub_scaled_rows(A.take(hit, axis=0)[:, c:], col.take(hit), A[r, c:])
         pivots.append(c)
         r += 1
-    return A[: len(pivots)].astype(np.int64), pivots
+    return A[: len(pivots)], pivots
 
 
 def field_array(M, spec: FieldSpec) -> np.ndarray | None:
@@ -150,7 +157,8 @@ def rref(M: np.ndarray, spec: FieldSpec) -> tuple[np.ndarray, list[int]]:
     if spec.q == 2:
         bits, pivots = rref_bits(pack_rows(M))
         return unpack_rows(bits, M.shape[1]), pivots
-    return _rref_generic(M, spec)
+    R, pivots = _rref_generic(M, spec)
+    return R.astype(np.int64), pivots
 
 
 def residual(R: np.ndarray, pivots: list[int], V: np.ndarray, spec: FieldSpec) -> np.ndarray:
@@ -200,6 +208,25 @@ def nullspace_of_rref(R: np.ndarray, pivots: list[int], spec: FieldSpec) -> np.n
         Rrev, rpiv = rref(R[:, ::-1], spec)
         return _dual_basis(Rrev[:, ::-1], [n - 1 - c for c in rpiv], spec)
     return rref(_dual_basis(R, pivots, spec), spec)[0]
+
+
+def kernel_image(K: np.ndarray, V: np.ndarray, spec: FieldSpec) -> np.ndarray:
+    """RREF basis of {x @ V : x @ K = 0}, for K and V with one row per x;
+    entries are element indices in any integer dtype.
+
+    One elimination of the wide matrix [K | V].  The reduced rows that pivot
+    in K have independent K parts, so a combination is zero on K exactly when
+    it uses only the rows that pivot past K; those rows are zero on K, and
+    their V parts are already in RREF.  Only the kept rows are widened to
+    int64 (over GF(2), only they are unpacked).
+    """
+    kc = K.shape[1]
+    W = np.concatenate([K, V], axis=1)
+    if spec.q == 2:
+        bits, pivots = rref_bits(pack_rows(W))
+        return unpack_rows([b >> kc for b, c in zip(bits, pivots) if c >= kc], V.shape[1])
+    R, pivots = _rref_generic(W, spec)
+    return R[sum(c < kc for c in pivots) :, kc:].astype(np.int64)
 
 
 def matmul(A: np.ndarray, B: np.ndarray, spec: FieldSpec) -> np.ndarray:

@@ -181,16 +181,15 @@ def puncture(C: LinearCode, positions: Iterable[int]) -> LinearCode:
 
 
 def shorten(C: LinearCode, positions: Iterable[int]) -> LinearCode:
+    """C's words that are zero at the positions, with those positions deleted.
+
+    The words x @ gen with x @ gen[:, pos] = 0, by one elimination of
+    [gen[:, pos] | gen without pos] (_gfmat.kernel_image), which returns them
+    already in RREF.
+    """
     pos = _positions(C, positions, "shorten")
-    if not pos:
-        return LinearCode(C.spec, C.gen)
-    if C.k == 0:
-        return LinearCode.zero(C.spec, C.n - len(pos))
-    coeffs = _gfmat.nullspace(C.gen[:, pos].T, C.spec)  # rows x with x @ gen[:, pos] == 0
-    if coeffs.shape[0] == 0:
-        return LinearCode.zero(C.spec, C.n - len(pos))
-    rows = _gfmat.matmul(coeffs, C.gen, C.spec)
-    return LinearCode(C.spec, np.delete(rows, pos, axis=1))
+    rows = _gfmat.kernel_image(C.gen[:, pos], np.delete(C.gen, pos, axis=1), C.spec)
+    return LinearCode(C.spec, rows, _reduced=True)
 
 
 # ---------------------------------------------------------------------------
@@ -227,6 +226,12 @@ def subfield_subcode(C: LinearCode, s: int) -> LinearCode:
     coordinatewise q'-power Frobenius is imposed as a linear constraint, and
     the fixed vectors are relabeled into GF(p^s).  This route is deliberately
     independent of any monomial/coset structure, so it can serve as an oracle.
+
+    The GF(p)-basis B of C is the rows x^t * g over C's rows g and the powers
+    x^t of the polynomial basis.  A GF(p)-combination of rows of B combines
+    their GF(p) digits, so the fixed vectors are {lam @ digits(B) :
+    lam @ digits(Frob(B) - B) = 0}: one elimination of [digits(Frob(B) - B) |
+    digits(B)] over GF(p) (_gfmat.kernel_image), on the narrow digits.
     """
     spec = C.spec
     if spec.r % s != 0:
@@ -246,14 +251,9 @@ def subfield_subcode(C: LinearCode, s: int) -> LinearCode:
     F = spec.frobenius_arr(B, qp)
     D = spec.sub_arr(F, B)  # rows must be killed by the combination
     # expand each GF(q) entry into r GF(p) digits -> (r*k) x (r*n)
-    prime = make_field(spec.p, 1)
-    digs = spec.digits_arr(D).reshape(D.shape[0], -1)
-    lam = _gfmat.nullspace(digs.T, prime)  # combos over GF(p)
-    if lam.shape[0] == 0:
-        return LinearCode.zero(sub, C.n)
-    # a GF(p)-combination of GF(q) entries combines their GF(p) digits
-    combined = _gfmat.matmul(lam, spec.digits_arr(B).reshape(len(B), -1), prime)
-    fixed = spec.from_digits_arr(combined.reshape(len(lam), C.n, spec.r))
+    digits = [spec.digits_arr(M).reshape(len(M), -1) for M in (D, B)]
+    combined = _gfmat.kernel_image(*digits, make_field(spec.p, 1))
+    fixed = spec.from_digits_arr(combined.reshape(len(combined), C.n, spec.r))
     assert np.all(to_sub[fixed] >= 0), "fixed vectors must have subfield entries"
     return LinearCode(sub, to_sub[fixed])
 

@@ -361,3 +361,15 @@ def test_console_script_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("row,style,")
+
+
+def test_package_runs_as_a_module():
+    # `python -m evalcode` failed with "No module named evalcode.__main__"
+    src = str(Path(evalcode.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "evalcode", "--help"],
+        capture_output=True, text=True, timeout=300, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "usage: evalcode" in proc.stdout

@@ -462,6 +462,62 @@ def test_nullspace_second_elimination_takes_the_smaller_side(monkeypatch):
         assert len(rows_in) == 2 and rows_in[1] <= min(C.k, C.n - C.k), rows_in
 
 
+KERNEL_IMAGE_FIELDS = [(2, 1), (3, 1), (2, 2), (7, 1), (3, 2), (7, 2)]
+
+
+def _kernel_image_reference(K, V, spec):
+    """{x @ V : x @ K = 0} by the nullspace of K^T and a product; the
+    reference for _gfmat.kernel_image."""
+    lam = _gfmat.nullspace(np.asarray(K, dtype=np.int64).T, spec)
+    return rref(_gfmat.matmul(lam, V, spec), spec)[0]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_kernel_image_matches_nullspace_and_product(data):
+    # K of every rank up to its row count, with zero and repeated rows; V
+    # with rows in K's dependencies and outside them; m, K's and V's widths
+    # down to 0
+    for p, r in KERNEL_IMAGE_FIELDS:
+        spec = make_field(p, r)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        m = data.draw(st.integers(0, 10), label="m")
+        kc, n = (data.draw(st.integers(0, 12), label=name) for name in ("kc", "n"))
+        rank = data.draw(st.integers(0, min(m, kc)), label="rank")
+        K = _gfmat.matmul(rng.integers(0, spec.q, (m, rank)), rng.integers(0, spec.q, (rank, kc)), spec)
+        V = rng.integers(0, spec.q, (m, n))
+        for i in range(m):
+            kind = data.draw(st.sampled_from(["keep", "zero", "repeat"]), label="row")
+            if kind == "zero":
+                K[i] = 0
+            elif kind == "repeat" and i:
+                j = data.draw(st.integers(0, i - 1), label="source")
+                K[i], V[i] = K[j], V[j]
+        out = _gfmat.kernel_image(K, V, spec)
+        assert out.dtype == np.int64 and out.shape[1] == n
+        assert np.array_equal(out, _kernel_image_reference(K, V, spec)), (spec.q, K, V)
+        assert np.array_equal(rref(out, spec)[0], out)
+        narrow = _gfmat.kernel_image(K.astype(np.uint8), V.astype(np.uint8), spec)
+        assert narrow.dtype == np.int64 and np.array_equal(narrow, out)
+
+
+def test_kernel_image_edge_cases():
+    rng = np.random.default_rng(5)
+    for p, r in KERNEL_IMAGE_FIELDS:
+        spec = make_field(p, r)
+        V = rng.integers(0, spec.q, (6, 9))
+        V[3] = spec.add_arr(V[0], V[1])  # rank at most 5: RREF(V) drops a row
+        # K with no columns, and K = 0, constrain nothing: every row is kept
+        for K in (np.zeros((6, 0), dtype=np.int64), np.zeros((6, 4), dtype=np.int64)):
+            assert np.array_equal(_gfmat.kernel_image(K, V, spec), rref(V, spec)[0])
+        # K of full row rank: only x = 0
+        K = np.concatenate([np.eye(6, dtype=np.int64), rng.integers(0, spec.q, (6, 2))], axis=1)
+        out = _gfmat.kernel_image(K, V, spec)
+        assert out.shape == (0, 9) and out.dtype == np.int64
+        # no rows at all
+        assert _gfmat.kernel_image(np.zeros((0, 3), dtype=np.int64), V[:0], spec).shape == (0, 9)
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.data())
 def test_small_side_rref_is_the_permuted_rref(data):
@@ -838,6 +894,37 @@ def test_puncture_shorten():
                 op(C, bad)
 
 
+def _codewords(C):
+    """Every word of C as a tuple, in scalar field ops."""
+    spec, words = C.spec, {(0,) * C.n}
+    for row in C.gen.tolist():
+        multiples = [[spec.mul(c, y) for y in row] for c in range(spec.q)]
+        words = {tuple(map(spec.add, w, m)) for m in multiples for w in words}
+    return words
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_shorten_matches_brute_force(data):
+    # positions unsorted and repeated, none, and every position
+    for p, r in [(2, 1), (3, 1), (2, 2), (7, 1)]:
+        spec = make_field(p, r)
+        n = data.draw(st.integers(1, 7), label="n")
+        k = data.draw(st.integers(0, {2: 5, 3: 4, 4: 3, 7: 3}[spec.q]), label="k")
+        entries = st.lists(st.integers(0, spec.q - 1), min_size=k * n, max_size=k * n)
+        C = LinearCode(spec, np.array(data.draw(entries, label="gen"), dtype=np.int64).reshape(k, n))
+        every = data.draw(st.permutations(range(n)), label="every")
+        some = data.draw(st.lists(st.integers(0, n - 1), max_size=2 * n), label="some")
+        for pos in (some, every, []):
+            S = shorten(C, pos)
+            keep = [i for i in range(C.n) if i not in pos]
+            expect = {tuple(w[i] for i in keep) for w in _codewords(C) if not any(w[i] for i in pos)}
+            assert S.spec is spec and S.n == len(keep)
+            assert _codewords(S) == expect, (spec.q, C.gen, pos)
+            assert S.gen.dtype == np.int64 and np.array_equal(S.gen, LinearCode(spec, S.gen).gen)
+            assert S.pivots == LinearCode(spec, S.gen).pivots
+
+
 def test_min_distance_hamming():
     d = min_distance(hamming74())
     assert d.exact and d.lower == 3
@@ -1157,6 +1244,31 @@ def test_subfield_subcode_combines_digits_in_every_characteristic(data):
         rows.append(spec.scale_arr(data.draw(st.integers(1, q - 1), label="scale"), row))
     C = LinearCode(spec, np.array(rows, dtype=np.int64).reshape(-1, n))
     assert subfield_subcode(C, s) == _subfield_subcode_by_field_combination(C, s)
+
+
+def test_subfield_subcode_and_shorten_take_no_nullspace_or_product(monkeypatch):
+    # both eliminate [K | V] once (_gfmat.kernel_image); the reference route
+    # above still goes through nullspace and matmul
+    rng = np.random.default_rng(11)
+    cases = []
+    for q, s in [(4, 1), (49, 1), (64, 3)]:
+        spec = field_from_order(q)
+        small = spec.subfield_indices(s)
+        rows = np.concatenate([small[rng.integers(0, len(small), (3, 12))], rng.integers(0, q, (2, 12))])
+        C = LinearCode(spec, spec.scale_arr(int(rng.integers(1, q)), rows))
+        cases.append((C, s, _subfield_subcode_by_field_combination(C, s)))
+    H = hamming74()
+    shortened = shorten(H, [0, 3])
+
+    def forbidden(*args):
+        raise AssertionError("nullspace or matmul called")
+
+    monkeypatch.setattr(_gfmat, "nullspace", forbidden)
+    monkeypatch.setattr(_gfmat, "matmul", forbidden)
+    for C, s, expect in cases:
+        S = subfield_subcode(C, s)
+        assert S == expect and S.k > 0
+    assert shorten(H, [3, 0]) == shortened
 
 
 def test_subfield_subcode_gf4_line():
