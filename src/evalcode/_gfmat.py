@@ -15,9 +15,13 @@ The table path holds the matrix in the field's narrow storage dtype
 (FieldSpec.dtype, uint8 for q <= 256) and returns it as int64.  At pivot
 column c the pivot row is zero left of c, so each step changes only the
 columns from c on, all through the one row update FieldSpec.sub_scaled_rows;
-matmul over every field but GF(2) accumulates through it too.  nullspace reads
-the dual off a basis that is the identity on an information set, and makes
-its second elimination on the side with fewer rows.
+matmul over every field but GF(2) accumulates through it too.  A step probes
+one column, and a column with no pivot sends one search to the next column
+that has one, so runs of pivot-free columns cost one call.  nullspace reads
+the dual off a basis that is the identity on an information set.  When M has
+at most n/2 rows it makes one elimination, of M with its columns reversed;
+otherwise it reduces M and then eliminates the side with fewer rows
+(nullspace_of_rref).
 
 kernel_image gives the RREF basis of {x @ V : x @ K = 0} from one elimination
 of the wide matrix [K | V], with no nullspace and no product: the reduced rows
@@ -103,17 +107,25 @@ def rref_bits(rows: list[int]) -> tuple[list[int], list[int]]:
 
 
 def _rref_generic(M: np.ndarray, spec: FieldSpec) -> tuple[np.ndarray, list[int]]:
-    """rref by the table path; the reduced rows stay in ``spec.dtype``."""
+    """rref by the table path; the reduced rows stay in ``spec.dtype``.
+
+    Each step probes only column c below row r.  On a miss one call finds the
+    next column that holds a pivot, the first nonzero column of A[r:, c:], and
+    the loop stops when there is none: a run of pivot-free columns, or the
+    tail of a rank-deficient matrix, costs one call.
+    """
     A = np.array(M, dtype=spec.dtype)
     nrows, ncols = A.shape
-    r = 0
+    r = c = 0
     pivots: list[int] = []
-    for c in range(ncols):
-        if r == nrows:
-            break
-        nzi = np.nonzero(A[r:, c])[0]
-        if nzi.size == 0:
-            continue
+    while r < nrows and c < ncols:
+        nzi = A[r:, c].nonzero()[0]
+        if not nzi.size:
+            nxt = A[r:, c:].any(axis=0).nonzero()[0]
+            if not nxt.size:
+                break
+            c += int(nxt[0])
+            nzi = A[r:, c].nonzero()[0]
         piv = r + int(nzi[0])
         if piv != r:
             A[[r, piv]] = A[[piv, r]]
@@ -122,12 +134,13 @@ def _rref_generic(M: np.ndarray, spec: FieldSpec) -> tuple[np.ndarray, list[int]
             A[r, c:] = spec.mul_arr(spec.inv(pv), A[r, c:])
         col = A[:, c].copy()  # row i takes away col[i] times the pivot row
         col[r] = 0
-        hit = np.nonzero(col)[0]
+        hit = col.nonzero()[0]
         if hit.size:
             A[hit, c:] = spec.sub_scaled_rows(A.take(hit, axis=0)[:, c:], col.take(hit), A[r, c:])
         pivots.append(c)
         r += 1
-    return A[: len(pivots)], pivots
+        c += 1
+    return A[:r], pivots
 
 
 def field_array(M, spec: FieldSpec) -> np.ndarray | None:
@@ -186,9 +199,25 @@ def _dual_basis(S: np.ndarray, pivots: list[int], spec: FieldSpec) -> np.ndarray
 
 
 def nullspace(M: np.ndarray, spec: FieldSpec) -> np.ndarray:
-    """RREF basis of {v : M @ v = 0} (the dual code of the row space): the
-    dual of rref(M), by nullspace_of_rref."""
+    """RREF basis of {v : M @ v = 0} (the dual code of the row space).
+
+    One elimination when M has at most n/2 rows: its rank k is then at most
+    n - k, and the reduction of M with its columns reversed is the one that
+    nullspace_of_rref would make of rref(M) (one row space, one RREF).
+    Otherwise the dual of rref(M), by nullspace_of_rref.
+    """
+    M = np.atleast_2d(np.asarray(M))
+    if 2 * M.shape[0] <= M.shape[1]:
+        return _reversed_dual(M, spec)
     return nullspace_of_rref(*rref(M, spec), spec)
+
+
+def _reversed_dual(M: np.ndarray, spec: FieldSpec) -> np.ndarray:
+    """RREF basis of {v : M @ v = 0} from one elimination of M with its
+    columns reversed (see nullspace_of_rref)."""
+    n = M.shape[1]
+    Rrev, rpiv = rref(M[:, ::-1], spec)
+    return _dual_basis(Rrev[:, ::-1], [n - 1 - c for c in rpiv], spec)
 
 
 def nullspace_of_rref(R: np.ndarray, pivots: list[int], spec: FieldSpec) -> np.ndarray:
@@ -205,8 +234,7 @@ def nullspace_of_rref(R: np.ndarray, pivots: list[int], spec: FieldSpec) -> np.n
     n = R.shape[1]
     k = len(pivots)
     if k <= n - k:
-        Rrev, rpiv = rref(R[:, ::-1], spec)
-        return _dual_basis(Rrev[:, ::-1], [n - 1 - c for c in rpiv], spec)
+        return _reversed_dual(R, spec)
     return rref(_dual_basis(R, pivots, spec), spec)[0]
 
 

@@ -16,11 +16,12 @@ Z_j.  The same sums give the inverse of the n x n evaluation matrix in closed
 form: family.dual_row(e) is the point vector u_e with <ev(X^a), u_e> = [a = e]
 for every a in the box, a product of one factor per coordinate (M^-1·h^(-e·i)
 on the units, with M = N_j - 1, and 0, 1 or -1 at a zero point).  dual(C_Δ)
-is the span of u_e over the box outside Δ, so evaluate eliminates whichever
-of the |Δ| monomial rows and the n - |Δ| dual rows is fewer.  dual_row is
-the matrix form of the pairing rule: in the basis of the u_e, ev(X^b) has
-the pairings <ev(X^b), ev(X^a)> as coordinates, so it lies in dual(C_Δ) iff
-b pairs zero with every member of Δ, which is what delta_dual tests.
+is the span of u_e over the box outside Δ, so evaluate makes one elimination,
+of whichever of the |Δ| monomial rows and the n - |Δ| dual rows is fewer (the
+dual rows through _gfmat.nullspace).  dual_row is the matrix form of the
+pairing rule: in the basis of the u_e, ev(X^b) has the pairings
+<ev(X^b), ev(X^a)> as coordinates, so it lies in dual(C_Δ) iff b pairs zero
+with every member of Δ, which is what delta_dual tests.
 """
 
 from __future__ import annotations
@@ -32,9 +33,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from evalcode import _gfmat
 from evalcode.galois import FieldElement, FieldError, FieldSpec, make_field, subgroup_roots
 from evalcode.galois import _ilog, _prime_factors
-from evalcode.linear_code import LinearCode, dual
+from evalcode.linear_code import LinearCode
 
 
 def field_from_order(q: int) -> FieldSpec:
@@ -284,18 +286,20 @@ def point_set(family: JAffineFamily) -> list[tuple[FieldElement, ...]]:
 def evaluate(family: JAffineFamily, delta: DefiningSet) -> LinearCode:
     """C_Δ = span{ev(X^e) : e in Δ}; dimension is exactly |Δ|.
 
-    The elimination takes the side with fewer rows.  The dual rows u_e of
+    One elimination, of the side with fewer rows.  The dual rows u_e of
     family.dual_row are the columns of the inverse evaluation matrix, so
     dual(C_Δ) is spanned by u_e for e in the box outside Δ.  When
-    2|Δ| > n, C_Δ is read off those n - |Δ| rows as the dual of their span;
-    otherwise it is the span of the |Δ| monomial rows.
+    2|Δ| > n, C_Δ is the nullspace of those n - |Δ| rows (_gfmat.nullspace,
+    one elimination, already in RREF); otherwise it is the span of the |Δ|
+    monomial rows.  Neither route caches a dual on C_Δ.
     """
     if delta.family != family:
         raise ValueError("defining set belongs to a different family")
     if len(delta) == 0:
         return LinearCode.zero(family.spec, family.n_points)
     if 2 * len(delta) > family.n_points:
-        C = dual(LinearCode(family.spec, family.dual_row(np.argwhere(~delta.mask))))
+        rows = _gfmat.nullspace(family.dual_row(np.argwhere(~delta.mask)), family.spec)
+        C = LinearCode(family.spec, rows, _reduced=True)
     else:
         C = LinearCode(family.spec, family.monomial_row(np.argwhere(delta.mask)))
     assert C.k == len(delta), "monomial evaluation must be injective"

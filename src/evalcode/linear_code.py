@@ -362,9 +362,9 @@ def _isd_witness(C, w, budget):
     Each of _ISD_ITERS random column permutations gives R, the RREF of C's
     permuted generator; its rows, then the sums R[i] + u * R[j] (i < j, u a
     unit), are tried until budget.steps sums are spent.  When 2k > n, R is
-    the nullspace of the permuted dual generator: two eliminations of n - k
-    rows instead of one of k, and the same matrix, since an RREF is unique
-    given its row space.
+    the nullspace of the permuted dual generator: one elimination of its
+    n - k < n/2 rows instead of one of k, and the same matrix, since an RREF
+    is unique given its row space.
     """
     spec, k, n = C.spec, C.k, C.n
     if k == 0:
@@ -439,12 +439,15 @@ def cyclic_min_weight_upto(C: LinearCode, w_cap: int) -> DistanceResult:
         raise RuntimeError(f"cyclic code {C} has pivots {C.pivots}, not 0..k-1")
     omega = (w_cap * k) // n
     rows = np.arange(1, p, dtype=np.int64)[:, None, None] * G[:, k:] % p
+    # a block's weights, summed along the short digit axis in the narrowest
+    # dtype that holds n - k (count_nonzero along that axis is slower)
+    wdtype = np.min_scalar_type(n - k)
     best, best_word = n + 1, None
     for t in range(1, min(omega, k) + 1):
         for sup, grids, acc in _unit_sums(rows, k, t, p, lead_one=True):
-            wts = np.count_nonzero(acc, axis=2).reshape(-1)
-            i = int(np.argmin(wts))
-            if wts[i] + t < best:
+            wts = (acc != 0).sum(axis=2, dtype=wdtype).reshape(-1)
+            i = int(wts.argmin())
+            if int(wts[i]) + t < best:  # int: a narrow wts[i] + t could wrap
                 best = int(wts[i]) + t
                 msg = np.zeros(k, dtype=np.int64)
                 msg[sup[i // len(grids)]] = grids[i % len(grids)] + 1

@@ -255,6 +255,64 @@ def test_narrow_rref_matches_int64_reference(data):
         assert pivots1 == pivots and R1.tobytes() == R.tobytes()
 
 
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_rref_generic_matches_reference_across_pivot_free_columns(data):
+    # runs of columns with no pivot: zero columns at the start, in the middle
+    # and at the end, repeated and dependent columns, and tall rank-deficient
+    # matrices whose trailing columns combine the leading ones
+    for p, r in NARROW_FIELDS:
+        spec = make_field(p, r)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        rows = data.draw(st.integers(1, 18), label="rows")
+        cols = data.draw(st.integers(1, 18), label="cols")
+        rank = data.draw(st.integers(0, min(rows, cols)), label="rank")
+        M = _matmul_reference(rng.integers(0, spec.q, (rows, rank)), rng.integers(0, spec.q, (rank, cols)), spec)
+        lead = data.draw(st.integers(0, cols), label="lead")
+        if data.draw(st.booleans(), label="dependent tail"):
+            M[:, lead:] = _matmul_reference(M[:, :lead], rng.integers(0, spec.q, (lead, cols - lead)), spec)
+        for j in range(cols):
+            kind = data.draw(st.sampled_from(["keep", "zero", "repeat", "dependent"]), label="column")
+            if kind == "zero":
+                M[:, j] = 0
+            elif kind == "repeat" and j:
+                M[:, j] = M[:, data.draw(st.integers(0, j - 1), label="source")]
+            elif kind == "dependent" and j:
+                a, b = rng.integers(0, j, 2)
+                u, v = (int(x) for x in rng.integers(0, spec.q, 2))
+                M[:, j] = spec.add_arr(spec.scale_arr(u, M[:, a]), spec.scale_arr(v, M[:, b]))
+        start, mid, end = (data.draw(st.integers(0, cols // 3), label=name) for name in ("start", "mid", "end"))
+        at = data.draw(st.integers(0, cols), label="mid at")
+        M[:, :start] = 0
+        M[:, at : at + mid] = 0
+        M[:, cols - end :] = 0
+        _assert_rref_generic_matches_reference(M, spec)
+
+
+def _assert_rref_generic_matches_reference(M, spec):
+    R, pivots = _gfmat._rref_generic(M, spec)
+    R0, pivots0 = _rref_generic_reference(M, spec)
+    assert pivots == pivots0
+    assert R.dtype == spec.dtype and R.shape == R0.shape
+    assert R.astype(np.int64).tobytes() == R0.tobytes(), (spec.q, M)
+
+
+def test_rref_generic_edge_shapes():
+    # the all-zero matrix, one row and one column, each zero and nonzero
+    rng = np.random.default_rng(11)
+    for p, r in NARROW_FIELDS:
+        spec = make_field(p, r)
+        row = rng.integers(0, spec.q, (1, 9))
+        row[0, :4] = 0
+        column = rng.integers(0, spec.q, (9, 1))
+        column[:4] = 0
+        zeros = [np.zeros(shape, dtype=np.int64) for shape in ((5, 7), (1, 1), (1, 9), (9, 1))]
+        cases = [*zeros, row, column, np.array([[spec.q - 1]])]
+        for M in cases:
+            _assert_rref_generic_matches_reference(M, spec)
+        assert _gfmat._rref_generic(zeros[0], spec)[0].shape == (0, 7)
+
+
 def test_rref_pivot_loop_calls_no_wide_field_op(monkeypatch):
     # a GF(49) elimination at the oracles' largest size changes the rows off
     # the pivot through sub_scaled_rows alone: no scale_arr, add_arr or neg_arr
@@ -459,7 +517,38 @@ def test_nullspace_second_elimination_takes_the_smaller_side(monkeypatch):
         # nullspace of an unreduced matrix reduces it first
         rows_in.clear()
         assert np.array_equal(_gfmat.nullspace(M, spec), D.gen)
-        assert len(rows_in) == 2 and rows_in[1] <= min(C.k, C.n - C.k), rows_in
+        if 2 * len(M) <= C.n:  # at most n/2 rows: one elimination, of M itself
+            assert rows_in == [len(M)], rows_in
+        else:  # rref(M), then the dual of its RREF on the small side
+            assert len(rows_in) == 2 and rows_in[1] <= min(C.k, C.n - C.k), rows_in
+
+
+def test_nullspace_at_half_the_length(monkeypatch):
+    # exactly n/2 rows take one elimination; n/2 + 1 rows of rank below n/2
+    # take rref(M) and then one of its rank rows; both give the reference
+    n = 12
+    rows_in = []
+
+    def recording_rref(M, spec):
+        rows_in.append(np.asarray(M).shape[0])
+        return rref(M, spec)
+
+    monkeypatch.setattr(_gfmat, "rref", recording_rref)
+    for p, r in [(2, 1), *NARROW_FIELDS]:
+        spec = make_field(p, r)
+        rng = np.random.default_rng(p * 100 + r)
+        half = rng.integers(0, spec.q, (n // 2, n))
+        half[-1] = half[0]  # rank below the row count
+        over = _matmul_reference(
+            rng.integers(0, spec.q, (n // 2 + 1, n // 2 - 2)), rng.integers(0, spec.q, (n // 2 - 2, n)), spec
+        )
+        for M, first in ((half, True), (over, False)):
+            rows_in.clear()
+            N = _gfmat.nullspace(M, spec)
+            expect, k = _nullspace_scalar(M, spec)
+            assert k < n // 2 and N.shape == (n - k, n)
+            assert np.array_equal(N, expect), (spec.q, M)
+            assert rows_in == ([len(M)] if first else [len(M), k]), rows_in
 
 
 KERNEL_IMAGE_FIELDS = [(2, 1), (3, 1), (2, 2), (7, 1), (3, 2), (7, 2)]
@@ -1325,6 +1414,50 @@ def test_cyclic_window_is_exact_over_gf65537():
     rs = LinearCode(make_field(65537, 1), [[1] * 16, roots])
     res = cyclic_min_weight_upto(rs, 15)
     assert res.exact and res.lower == 15 and res.witness in rs
+
+
+def _window_count_nonzero_reference(C, w_cap):
+    """cyclic_min_weight_upto with each block's weights counted by
+    np.count_nonzero in int64; the reference for its narrow count."""
+    n, k, p, G = C.n, C.k, C.spec.p, C.gen
+    rows = np.arange(1, p, dtype=np.int64)[:, None, None] * G[:, k:] % p
+    best, best_word = n + 1, None
+    for t in range(1, min(w_cap * k // n, k) + 1):
+        for sup, grids, acc in linear_code._unit_sums(rows, k, t, p, lead_one=True):
+            wts = np.count_nonzero(acc, axis=2).reshape(-1)
+            i = int(np.argmin(wts))
+            if wts[i] + t < best:
+                best = int(wts[i]) + t
+                msg = np.zeros(k, dtype=np.int64)
+                msg[sup[i // len(grids)]] = grids[i % len(grids)] + 1
+                best_word = _gfmat.matmul(msg[None, :], G, C.spec)[0]
+    if best <= w_cap:
+        return DistanceResult(best, best, best_word, how="cyclic window")
+    return DistanceResult(w_cap + 1, n, how="cyclic window")
+
+
+def test_window_count_matches_count_nonzero():
+    # n - k <= 255 counts in uint8, n - k > 255 in uint16: a [48,13] GF(7)
+    # cyclic code, and GF(3) codes of length 264 spanned by the shifts of a
+    # word of period 8, where a word with no zero in its period has weight 264
+    fam = JAffineFamily(field_from_order(49), (49,), (1,))
+    rng = np.random.default_rng(0)
+    delta = closure(fam, 7, DefiningSet(fam, []))
+    while len(delta) < 13:
+        delta = closure(fam, 7, DefiningSet(fam, [*delta, (int(rng.integers(0, 48)),)]))
+    cases = [(subfield_code(fam, 7, delta), 12)]
+    F3 = make_field(3, 1)
+    for seed in range(3):
+        word = np.tile(np.random.default_rng(seed).integers(0, 3, 8), 33)
+        C = LinearCode(F3, np.stack([np.roll(word, i) for i in range(8)]))
+        assert C.n - C.k > 255
+        cases += [(C, 264), (C, 100)]
+    assert cases[0][0].n - cases[0][0].k <= 255
+    for C, cap in cases:
+        got, expect = cyclic_min_weight_upto(C, cap), _window_count_nonzero_reference(C, cap)
+        assert (got.lower, got.upper, got.how) == (expect.lower, expect.upper, expect.how), (C, cap)
+        assert (got.witness is None) == (expect.witness is None)
+        assert got.witness is None or np.array_equal(got.witness, expect.witness)
 
 
 def _shift_rows_in_code(C):
