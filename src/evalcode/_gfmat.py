@@ -18,10 +18,9 @@ columns from c on, all through the one row update FieldSpec.sub_scaled_rows;
 matmul over every field but GF(2) accumulates through it too.  A step probes
 one column, and a column with no pivot sends one search to the next column
 that has one, so runs of pivot-free columns cost one call.  nullspace reads
-the dual off a basis that is the identity on an information set.  When M has
-at most n/2 rows it makes one elimination, of M with its columns reversed;
-otherwise it reduces M and then eliminates the side with fewer rows
-(nullspace_of_rref).
+the dual off a basis that is the identity on an information set, from one
+elimination of M with its columns reversed; nullspace_of_rref, given an RREF
+already, eliminates the side with fewer rows.
 
 kernel_image gives the RREF basis of {x @ V : x @ K = 0} from one elimination
 of the wide matrix [K | V], with no nullspace and no product: the reduced rows
@@ -199,22 +198,15 @@ def _dual_basis(S: np.ndarray, pivots: list[int], spec: FieldSpec) -> np.ndarray
 
 
 def nullspace(M: np.ndarray, spec: FieldSpec) -> np.ndarray:
-    """RREF basis of {v : M @ v = 0} (the dual code of the row space).
+    """RREF basis of {v : M @ v = 0} (the dual code of the row space), from
+    one elimination: of M with its columns reversed.
 
-    One elimination when M has at most n/2 rows: its rank k is then at most
-    n - k, and the reduction of M with its columns reversed is the one that
-    nullspace_of_rref would make of rref(M) (one row space, one RREF).
-    Otherwise the dual of rref(M), by nullspace_of_rref.
+    That reduction S is the identity on its pivots P, and each row of S is
+    zero after its pivot.  So the dual row of a column f off P, e_f minus
+    S[:, f] on P, leads with 1 at f and is nonzero only at f and at pivots
+    after f, and the dual basis is already in RREF, whatever M's rank.
     """
     M = np.atleast_2d(np.asarray(M))
-    if 2 * M.shape[0] <= M.shape[1]:
-        return _reversed_dual(M, spec)
-    return nullspace_of_rref(*rref(M, spec), spec)
-
-
-def _reversed_dual(M: np.ndarray, spec: FieldSpec) -> np.ndarray:
-    """RREF basis of {v : M @ v = 0} from one elimination of M with its
-    columns reversed (see nullspace_of_rref)."""
     n = M.shape[1]
     Rrev, rpiv = rref(M[:, ::-1], spec)
     return _dual_basis(Rrev[:, ::-1], [n - 1 - c for c in rpiv], spec)
@@ -225,16 +217,13 @@ def nullspace_of_rref(R: np.ndarray, pivots: list[int], spec: FieldSpec) -> np.n
 
     A basis S of the row space, of rank k, with S[:, P] the identity gives a
     dual basis: the identity off P and -S^T on P.  The one elimination takes
-    the side with fewer rows.  If k <= n - k it reduces R with its columns
-    reversed: each row of S is then zero after its pivot, so the dual row of a
-    column f off P is nonzero only at f and at pivots after f, and the dual
-    basis is already in RREF.  Otherwise it reduces the n - k dual rows built
-    from R.
+    the side with fewer rows: if k <= n - k, nullspace(R); otherwise it
+    reduces the n - k dual rows built from R.
     """
     n = R.shape[1]
     k = len(pivots)
     if k <= n - k:
-        return _reversed_dual(R, spec)
+        return nullspace(R, spec)
     return rref(_dual_basis(R, pivots, spec), spec)[0]
 
 

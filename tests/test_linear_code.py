@@ -514,18 +514,15 @@ def test_nullspace_second_elimination_takes_the_smaller_side(monkeypatch):
         assert D.k == C.n - C.k
         assert not np.any(_gfmat.matmul(C.gen, D.gen.T, spec))
         assert len(rows_in) == 1 and rows_in[0] <= min(C.k, C.n - C.k), rows_in
-        # nullspace of an unreduced matrix reduces it first
+        # nullspace of an unreduced matrix: one elimination, of M itself
         rows_in.clear()
         assert np.array_equal(_gfmat.nullspace(M, spec), D.gen)
-        if 2 * len(M) <= C.n:  # at most n/2 rows: one elimination, of M itself
-            assert rows_in == [len(M)], rows_in
-        else:  # rref(M), then the dual of its RREF on the small side
-            assert len(rows_in) == 2 and rows_in[1] <= min(C.k, C.n - C.k), rows_in
+        assert rows_in == [len(M)], rows_in
 
 
 def test_nullspace_at_half_the_length(monkeypatch):
-    # exactly n/2 rows take one elimination; n/2 + 1 rows of rank below n/2
-    # take rref(M) and then one of its rank rows; both give the reference
+    # exactly n/2 rows, and n/2 + 1 rows of rank below n/2: each takes one
+    # elimination, of M itself, and gives the reference
     n = 12
     rows_in = []
 
@@ -542,13 +539,13 @@ def test_nullspace_at_half_the_length(monkeypatch):
         over = _matmul_reference(
             rng.integers(0, spec.q, (n // 2 + 1, n // 2 - 2)), rng.integers(0, spec.q, (n // 2 - 2, n)), spec
         )
-        for M, first in ((half, True), (over, False)):
+        for M in (half, over):
             rows_in.clear()
             N = _gfmat.nullspace(M, spec)
             expect, k = _nullspace_scalar(M, spec)
             assert k < n // 2 and N.shape == (n - k, n)
             assert np.array_equal(N, expect), (spec.q, M)
-            assert rows_in == ([len(M)] if first else [len(M), k]), rows_in
+            assert rows_in == [len(M)], rows_in
 
 
 KERNEL_IMAGE_FIELDS = [(2, 1), (3, 1), (2, 2), (7, 1), (3, 2), (7, 2)]
